@@ -15,14 +15,13 @@
 // is chosen so the sequential solve takes on the order of a second.
 //
 // `bench_scheduler_perf --engine-compare [--quick] [--json <path>]` races
-// the four exact engines (dijkstra / astar / astar+dominance / bb,
-// DESIGN.md §9/§11) over DWT and k-ary tree instances at several thread
-// counts. It reports expanded states, waves, and wall time per engine,
-// checks every schedule bit-for-bit against the dijkstra sequential
-// baseline (exit 1 on any divergence), prints the expanded-state
-// reduction of the informed engines, and writes the table as JSON
-// (default BENCH_exact.json). `--quick` shrinks the instances for CI
-// smoke runs.
+// the three exact engines (dijkstra / astar / bb, DESIGN.md §9/§11) over
+// DWT and k-ary tree instances at several thread counts. It reports
+// expanded states, waves, and wall time per engine, checks every schedule
+// bit-for-bit against the dijkstra sequential baseline (exit 1 on any
+// divergence), prints the expanded-state reduction of the informed
+// engines, and writes the table as JSON (default BENCH_exact.json).
+// `--quick` shrinks the instances for CI smoke runs.
 //
 // `bench_scheduler_perf --anytime-sweep [--quick] [--json <path>]` runs
 // the bb anytime engine (DESIGN.md §11) under a grid of deadlines on a
@@ -342,10 +341,9 @@ int RunThreadsSweep(const CliArgs& args) {
 
 struct EngineRow {
   std::string instance;
-  // "schedule" rows time a full Run() (for kAStarDominance that is both
-  // passes) and are identity-checked; "cost" rows time a CostOnly() probe
-  // — the apples-to-apples pruning metric, since every engine runs
-  // exactly one pass there.
+  // "schedule" rows time a full Run() (search plus reconstruction) and
+  // are identity-checked; "cost" rows time a CostOnly() probe — the
+  // search alone.
   std::string mode = "schedule";
   SearchEngine engine = SearchEngine::kDijkstra;
   std::size_t threads = 1;
@@ -377,7 +375,6 @@ void PrintEngineRow(const EngineRow& row) {
 
 constexpr SearchEngine kAllEngines[] = {SearchEngine::kDijkstra,
                                         SearchEngine::kAStar,
-                                        SearchEngine::kAStarDominance,
                                         SearchEngine::kBranchAndBound};
 
 // Runs every engine at every thread count on one instance, checking each

@@ -7,7 +7,7 @@
 //       model properties: nodes, edges, min valid budget, lower bound.
 //   wrbpg_cli schedule <graph> --budget <bits>
 //                      [--algo greedy|belady|brute|robust] [--deadline-ms N]
-//                      [--engine dijkstra|astar|astar+dominance|bb]
+//                      [--engine dijkstra|astar|bb]
 //                      [--memory-cap-mb N]
 //       emit a validated schedule (move per line) on stdout; stats on stderr.
 //       --engine runs the named exact search engine directly; with
@@ -153,7 +153,7 @@ int Usage() {
             << BuiltinSpecHelp()
             << "> [schedule.txt] "
                "[--budget N] [--algo greedy|belady|brute|robust] "
-               "[--engine dijkstra|astar|astar+dominance|bb] "
+               "[--engine dijkstra|astar|bb] "
                "[--deadline-ms N] [--memory-cap-mb N] [--threads N] "
                "[--orbit-prune] [--metrics-json path] [--json] [--fix]\n"
                "run `wrbpg_cli --help` for the full per-verb reference\n";
@@ -209,7 +209,7 @@ int PrintHelp() {
       "      --fix applies the safe fix-its and prints the fixed schedule.\n"
       "      Exits 1 when any error-severity diagnostic fires.\n"
       "  schedule <graph> --budget N [--algo greedy|belady|brute|robust]\n"
-      "           [--engine dijkstra|astar|astar+dominance|bb]\n"
+      "           [--engine dijkstra|astar|bb]\n"
       "           [--deadline-ms N] [--memory-cap-mb N] [--orbit-prune]\n"
       "      Emit a validated schedule (one move per line) on stdout,\n"
       "      stats on stderr. --engine runs the named exact engine\n"
@@ -803,13 +803,11 @@ int RunVerb(const CliArgs& args) {
         bf.engine = SearchEngine::kDijkstra;
       } else if (engine_name == "astar") {
         bf.engine = SearchEngine::kAStar;
-      } else if (engine_name == "astar+dominance") {
-        bf.engine = SearchEngine::kAStarDominance;
       } else if (engine_name == "bb") {
         bf.engine = SearchEngine::kBranchAndBound;
       } else {
         std::cerr << "error: unknown --engine '" << engine_name
-                  << "' (expected dijkstra|astar|astar+dominance|bb)\n";
+                  << "' (expected dijkstra|astar|bb)\n";
         return 2;
       }
       if (memory_cap_mb > 0) {

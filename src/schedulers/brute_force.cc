@@ -5,8 +5,6 @@
 #include <bit>
 #include <cassert>
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <map>
 #include <optional>
 #include <thread>
@@ -41,23 +39,10 @@ constexpr State MakeState(std::uint32_t red, std::uint32_t blue) {
 // Wave key (search_frontier.h): f, then g, then schedule length.
 using Key = WaveKey;
 
-// How one search pass runs. The engines are compositions of these flags:
-// Dijkstra = {false, true, false}, A* = {true, true, false}, and the
-// dominance/bb engines' cost pass = {true, false, true} (a
-// schedule-wanting run follows up with an A* pass primed at the found
-// optimum). The bb engine additionally primes the cost pass's bound with
-// its incumbent cost, turning the bound check into incumbent pruning.
-struct PhaseConfig {
-  bool use_heuristic = false;
-  bool use_len = true;
-  bool use_dominance = false;
-  Weight prime_bound = kInfiniteCost;  // known upper bound on the optimum
-};
-
-// Phase outcomes. Everything past kInfeasible is an abort: the phase
+// Search outcomes. Everything past kInfeasible is an abort: the search
 // stopped early and recorded a sound lower bound on the optimum (the
 // minimum f over the still-open frontier) for the anytime result.
-enum class PhaseStatus : std::uint8_t {
+enum class SearchStatus : std::uint8_t {
   kFound,
   kInfeasible,
   kDeadline,   // CancelToken with a wall-clock deadline fired
@@ -66,18 +51,18 @@ enum class PhaseStatus : std::uint8_t {
   kMemoryCap,  // frontier_bytes_cap (or the interner) exhausted
 };
 
-constexpr bool IsAbort(PhaseStatus s) {
-  return s != PhaseStatus::kFound && s != PhaseStatus::kInfeasible;
+constexpr bool IsAbort(SearchStatus s) {
+  return s != SearchStatus::kFound && s != SearchStatus::kInfeasible;
 }
 
-Termination ToTermination(PhaseStatus s) {
+Termination ToTermination(SearchStatus s) {
   switch (s) {
-    case PhaseStatus::kDeadline: return Termination::kDeadline;
-    case PhaseStatus::kCancelled: return Termination::kCancelled;
-    case PhaseStatus::kStateCap:
-    case PhaseStatus::kMemoryCap: return Termination::kMemoryCap;
-    case PhaseStatus::kFound:
-    case PhaseStatus::kInfeasible: break;
+    case SearchStatus::kDeadline: return Termination::kDeadline;
+    case SearchStatus::kCancelled: return Termination::kCancelled;
+    case SearchStatus::kStateCap:
+    case SearchStatus::kMemoryCap: return Termination::kMemoryCap;
+    case SearchStatus::kFound:
+    case SearchStatus::kInfeasible: break;
   }
   return Termination::kComplete;
 }
@@ -261,31 +246,6 @@ class PackedOps {
       const NodeId v = static_cast<NodeId>(std::countr_zero(m));
       fn(MakeState(red | (1u << v), blue), 0);
     }
-  }
-
-  // Dominance vocabulary (see Searcher::PruneDominated).
-  bool SameRed(State a, State b) const { return RedOf(a) == RedOf(b); }
-  bool BlueSubsetOf(State a, State b) const {
-    return (BlueOf(a) & ~BlueOf(b)) == 0;
-  }
-  bool DominanceLess(State a, State b) const {
-    if (RedOf(a) != RedOf(b)) return RedOf(a) < RedOf(b);
-    const int pa = std::popcount(BlueOf(a));
-    const int pb = std::popcount(BlueOf(b));
-    if (pa != pb) return pa > pb;
-    return BlueOf(a) < BlueOf(b);
-  }
-  // Packed states sort by a precomputed 128-bit key instead of the
-  // comparator above: (red, 63 - popcount(blue)) in the high word and
-  // the state itself (blue-major within equal red) in the low word make
-  // lexicographic pair order coincide with DominanceLess — one popcount
-  // per STATE instead of one per comparison.
-  static constexpr bool kHasDominanceKey = true;
-  std::pair<std::uint64_t, std::uint64_t> DominanceKey(State s) const {
-    const std::uint64_t hi =
-        (static_cast<std::uint64_t>(RedOf(s)) << 6) |
-        static_cast<std::uint64_t>(63 - std::popcount(BlueOf(s)));
-    return {hi, s};
   }
 
   // States live inline in the dist map and the per-worker bound-cache
@@ -548,38 +508,6 @@ class WideOps {
     }
   }
 
-  bool SameRed(State a, State b) const {
-    return std::memcmp(interner_.Words(a), interner_.Words(b),
-                       words_ * sizeof(std::uint64_t)) == 0;
-  }
-  bool BlueSubsetOf(State a, State b) const {
-    const std::uint64_t* ba = interner_.Words(a) + words_;
-    const std::uint64_t* bb = interner_.Words(b) + words_;
-    for (std::size_t w = 0; w < words_; ++w) {
-      if ((ba[w] & ~bb[w]) != 0) return false;
-    }
-    return true;
-  }
-  // Interned word arrays have no compact sort key; the comparator path
-  // it is.
-  static constexpr bool kHasDominanceKey = false;
-  std::pair<std::uint64_t, std::uint64_t> DominanceKey(State) const {
-    return {0, 0};  // never called (kHasDominanceKey == false)
-  }
-  // Same order as PackedOps::DominanceLess: red ascending (numeric,
-  // most-significant word first — for W == 1 this IS the packed compare),
-  // blue popcount descending, blue ascending.
-  bool DominanceLess(State a, State b) const {
-    const std::uint64_t* wa = interner_.Words(a);
-    const std::uint64_t* wb = interner_.Words(b);
-    const int red_cmp = CmpWords(wa, wb);
-    if (red_cmp != 0) return red_cmp < 0;
-    const int pa = PopcountWords(wa + words_);
-    const int pb = PopcountWords(wb + words_);
-    if (pa != pb) return pa > pb;
-    return CmpWords(wa + words_, wb + words_) < 0;
-  }
-
   std::size_t MemoryBytes() const {
     return interner_.MemoryBytes() + bound_cache_.MemoryBytes();
   }
@@ -588,25 +516,8 @@ class WideOps {
   static std::size_t WordsFor(NodeId n) {
     return std::max<std::size_t>(1, (static_cast<std::size_t>(n) + 63) / 64);
   }
-  static bool TestBit(const std::uint64_t* w, NodeId v) {
-    return (w[v >> 6] >> (v & 63)) & 1;
-  }
   static void SetBit(std::uint64_t* w, NodeId v) {
     w[v >> 6] |= 1ull << (v & 63);
-  }
-  static void ClearBit(std::uint64_t* w, NodeId v) {
-    w[v >> 6] &= ~(1ull << (v & 63));
-  }
-  int CmpWords(const std::uint64_t* a, const std::uint64_t* b) const {
-    for (std::size_t w = words_; w-- > 0;) {
-      if (a[w] != b[w]) return a[w] < b[w] ? -1 : 1;
-    }
-    return 0;
-  }
-  int PopcountWords(const std::uint64_t* w) const {
-    int total = 0;
-    for (std::size_t i = 0; i < words_; ++i) total += std::popcount(w[i]);
-    return total;
   }
   static NodeId NodeAt(std::size_t word, std::uint64_t m) {
     return static_cast<NodeId>(
@@ -686,21 +597,23 @@ std::optional<Incumbent> SeedIncumbent(const Graph& graph, Weight budget,
 // keep an open optimal-path state at a strictly smaller key (h admissible
 // along that path), contradicting the wave order.
 //
-// Anytime soundness: when a phase aborts, every undiscovered solution
+// Anytime soundness: when the search aborts, every undiscovered solution
 // still has to leave the settled set through an open state — one whose
 // best-known g was recorded but that was never expanded at it. Such a
 // state sits either in the pending map or in the current (partially
 // expanded) wave, and along an optimal path its f = g + h is at most the
 // optimal cost (h admissible; incumbent pruning only drops f strictly
-// above a valid schedule's cost, dominance only drops states whose
-// completions a kept sibling matches). min(current wave f, pending min f)
-// is therefore a sound lower bound on the optimum at the moment of abort.
+// above a valid schedule's cost). min(current wave f, pending min f) is
+// therefore a sound lower bound on the optimum at the moment of abort.
 template <typename Ops>
 class Searcher {
  public:
   Searcher(const Graph& graph, Weight budget,
            const BruteForceOptions& options)
-      : budget_(budget), options_(options), ops_(graph, budget, options) {
+      : budget_(budget),
+        options_(options),
+        informed_(options.engine != SearchEngine::kDijkstra),
+        ops_(graph, budget, options) {
     start_ = ops_.Start();
     if (options.prune_root_loads != nullptr &&
         !options.prune_root_loads->empty()) {
@@ -716,18 +629,16 @@ class Searcher {
  private:
   using Scratch = typename Ops::Scratch;
 
-  PhaseStatus RunPhase(const PhaseConfig& cfg, ThreadPool* pool,
-                       std::size_t threads);
+  SearchStatus RunWaves(Weight h0, ThreadPool* pool, std::size_t threads);
 
   // Per-chunk relaxation memo over the shared dist map: the best (g, len)
-  // this chunk has OFFERED the map for recently-seen states. Within a
-  // phase the map is monotone (TryImprove only ever lowers an entry), so
-  // a repeat offer that is not lexicographically lower than a recorded
-  // one provably cannot improve — it is dropped before paying the shard
-  // lock and the (likely cold) probe. Direct-mapped, evict-on-collision,
-  // cleared at phase starts (Reset() breaks the monotonicity the argument
-  // rests on). Every skipped offer would have returned false and pushed
-  // nothing, so schedules and costs are bit-identical with or without it.
+  // this chunk has OFFERED the map for recently-seen states. The map is
+  // monotone (TryImprove only ever lowers an entry), so a repeat offer
+  // that is not lexicographically lower than a recorded one provably
+  // cannot improve — it is dropped before paying the shard lock and the
+  // (likely cold) probe. Direct-mapped, evict-on-collision. Every skipped
+  // offer would have returned false and pushed nothing, so schedules and
+  // costs are bit-identical with or without it.
   struct RelaxMemo {
     static constexpr std::size_t kSlots = 8192;  // power of two
     struct Slot {
@@ -757,15 +668,29 @@ class Searcher {
       slot.used = true;
       return false;
     }
-    void Clear() { slots.clear(); }
   };
 
   void ExpandRange(const std::vector<State>& frontier, std::size_t lo,
-                   std::size_t hi, Key level, const PhaseConfig& cfg,
-                   UpdateBuffer& out, SearchStats& stats, Scratch& scratch,
-                   RelaxMemo& memo);
-  void PruneDominated(std::vector<State>& live);
+                   std::size_t hi, Key level, UpdateBuffer& out,
+                   SearchStats& stats, Scratch& scratch, RelaxMemo& memo);
   Schedule Reconstruct();
+
+  // The pending level for `key`, drawn from the pool when new. Every
+  // change to a pending level's capacity goes through here, PushPending,
+  // or the extraction in RunWaves, which keeps pending_capacity_ exact.
+  auto PendingLevel(const Key& key) {
+    auto [it, inserted] = pending_.try_emplace(key);
+    if (inserted) {
+      it->second = level_pool_.Acquire();
+      pending_capacity_ += it->second.capacity();
+    }
+    return it;
+  }
+  void PushPending(std::vector<State>& level, State s) {
+    const std::size_t capacity = level.capacity();
+    level.push_back(s);
+    pending_capacity_ += level.capacity() - capacity;
+  }
 
   // Folds one chunk's wave updates into the pending map. Successive
   // updates overwhelmingly share a key (a state's successors cluster in
@@ -777,28 +702,27 @@ class Searcher {
     for (std::size_t i = 0; i < u.size(); ++i) {
       const WaveKey& key = u.key(i);
       if (memo_key == nullptr || !(*memo_key == key)) {
-        auto [it, inserted] = pending_.try_emplace(key);
-        if (inserted) it->second = level_pool_.Acquire();
+        const auto it = PendingLevel(key);
         memo_key = &it->first;
         memo_level = &it->second;
       }
-      memo_level->push_back(u.state(i));
+      PushPending(*memo_level, u.state(i));
     }
   }
 
   // kDeadline vs kCancelled: the token knows whether it carries a
   // wall-clock deadline.
-  PhaseStatus CancelStatus() const {
+  SearchStatus CancelStatus() const {
     if (options_.cancel != nullptr &&
         options_.cancel->remaining().has_value()) {
-      return PhaseStatus::kDeadline;
+      return SearchStatus::kDeadline;
     }
-    return PhaseStatus::kCancelled;
+    return SearchStatus::kCancelled;
   }
 
   // Sound lower bound on the optimum at an abort inside `level`'s wave:
   // see the class comment. Also records it for the result assembly.
-  PhaseStatus Abort(PhaseStatus status, const Key& level) {
+  SearchStatus Abort(SearchStatus status, const Key& level) {
     abort_lb_ = level.f;
     if (!pending_.empty()) {
       abort_lb_ = std::min(abort_lb_, pending_.begin()->first.f);
@@ -809,12 +733,12 @@ class Searcher {
   // Bytes the search containers hold right now; the frontier_bytes_cap
   // meter. Sampled at wave boundaries only, so it is a pure function of
   // the wave sequence — memory-cap stops are deterministic at a fixed
-  // thread count.
+  // thread count. The pending levels are metered by a running total: a
+  // search can hold thousands of small levels, and rescanning them at
+  // every wave once took about 45% of a search on 12-node graphs.
   std::size_t FrontierBytes() const {
-    std::size_t bytes = dist_.MemoryBytes() + ops_.MemoryBytes();
-    for (const auto& [key, level] : pending_) {
-      bytes += level.capacity() * sizeof(State);
-    }
+    std::size_t bytes = dist_.MemoryBytes() + ops_.MemoryBytes() +
+                        pending_capacity_ * sizeof(State);
     for (const UpdateBuffer& u : chunk_updates_) {
       bytes += u.MemoryBytes();
     }
@@ -840,7 +764,7 @@ class Searcher {
 
   // Abort without an incumbent: the legacy timed-out shape, now carrying
   // the certified lower bound and the typed stop reason.
-  static ScheduleResult TimedOutResult(PhaseStatus status, Weight lb) {
+  static ScheduleResult TimedOutResult(SearchStatus status, Weight lb) {
     ScheduleResult result;
     result.timed_out = true;
     result.lower_bound = lb;
@@ -850,17 +774,18 @@ class Searcher {
 
   const Weight budget_;
   const BruteForceOptions& options_;
+  const bool informed_;  // A* ordering (every engine but dijkstra)
   Ops ops_;
   State start_ = 0;
   Scratch main_scratch_;  // start heuristic + single-threaded reconstruction
 
   FlatDistMap dist_;
   std::map<Key, std::vector<State>> pending_;
+  std::size_t pending_capacity_ = 0;  // summed capacity of pending_ levels
   LevelPool level_pool_;
   std::vector<UpdateBuffer> chunk_updates_;
   std::vector<Scratch> chunk_scratch_;
   std::vector<RelaxMemo> chunk_memo_;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> dominance_keys_;
 
   // Shared best-known goal cost: relaxations that discover a goal lower it
   // (atomically, across all workers), and every relaxation prunes targets
@@ -868,15 +793,14 @@ class Searcher {
   // successor cannot sit on a solution of cost <= bound; only strictly-
   // worse states are dropped, and the distance map below the optimum is
   // undisturbed — timing of the bound updates cannot leak into the result.
-  // The bb engine seeds it with its incumbent cost (PhaseConfig::
-  // prime_bound), which is what makes the incumbent a pruning bound.
+  // The bb engine seeds it with its incumbent cost, which is what makes
+  // the incumbent a pruning bound.
   std::atomic<Weight> best_goal_cost_{kInfiniteCost};
   std::atomic<bool> cancelled_{false};
   std::atomic<bool> interner_full_{false};
 
-  std::size_t settled_ = 0;  // cumulative across phases (max_states valve)
-  SearchStats stats_;        // aggregated across phases
-  Weight abort_lb_ = 0;      // open-frontier bound at the last abort
+  SearchStats stats_;
+  Weight abort_lb_ = 0;  // open-frontier bound at the last abort
   // Root M1 loads suppressed by orbit pruning (empty = none); see
   // BruteForceOptions::prune_root_loads for the soundness contract.
   std::vector<unsigned char> pruned_root_load_;
@@ -887,9 +811,8 @@ class Searcher {
 template <typename Ops>
 void Searcher<Ops>::ExpandRange(const std::vector<State>& frontier,
                                 std::size_t lo, std::size_t hi, Key level,
-                                const PhaseConfig& cfg, UpdateBuffer& out,
-                                SearchStats& stats, Scratch& scratch,
-                                RelaxMemo& memo) {
+                                UpdateBuffer& out, SearchStats& stats,
+                                Scratch& scratch, RelaxMemo& memo) {
   const CancelToken* cancel = options_.cancel;
   const auto t0 = std::chrono::steady_clock::now();
   std::uint32_t moves_since_poll = 0;
@@ -914,7 +837,7 @@ void Searcher<Ops>::ExpandRange(const std::vector<State>& frontier,
     const State s = frontier[i];
     // One closure walk per expanded state; every successor below prices
     // off this context through the incremental fast paths (§14).
-    if (cfg.use_heuristic) ops_.PrepareExpand(s, scratch);
+    if (informed_) ops_.PrepareExpand(s, scratch);
     // One bound snapshot per state, not two atomic loads per move. The
     // bound only ever decreases, so pruning against a stale (higher)
     // value is sound — it prunes a subset of what the live value would,
@@ -942,8 +865,8 @@ void Searcher<Ops>::ExpandRange(const std::vector<State>& frontier,
         }
       }
       // g-first: h >= 0, so g > bound already implies f > bound — and
-      // skipping the heuristic on such moves is pure profit on primed
-      // passes (bb and the schedule pass run with bound == optimum).
+      // skipping the heuristic on such moves is pure profit when the
+      // bound is primed (bb starts it at the incumbent cost).
       // Prunes the exact same successor set as the f-test alone; only
       // the informational pruned_bound/pruned_heuristic split can shift.
       const Weight g = level.g + move_cost;
@@ -952,7 +875,7 @@ void Searcher<Ops>::ExpandRange(const std::vector<State>& frontier,
         return false;
       }
       Weight h = 0;
-      if (cfg.use_heuristic) {
+      if (informed_) {
         h = ops_.HeuristicMove(c, move, scratch, stats);
         if (h >= kInfiniteCost) {
           ++stats.pruned_heuristic;  // no completion exists from `c`
@@ -964,7 +887,7 @@ void Searcher<Ops>::ExpandRange(const std::vector<State>& frontier,
         ++stats.pruned_bound;  // already provably worse than a solution
         return false;
       }
-      const std::uint32_t len = cfg.use_len ? level.len + 1 : 0;
+      const std::uint32_t len = level.len + 1;
       State next = 0;
       if (!ops_.Commit(c, scratch, stats, &next)) {
         interner_full_.store(true, std::memory_order_relaxed);
@@ -997,71 +920,18 @@ void Searcher<Ops>::ExpandRange(const std::vector<State>& frontier,
           .count());
 }
 
-// Drops wave states that a same-wave sibling renders redundant: equal red
-// mask (with positive weights, "superset red at no greater red weight"
-// collapses to equality) and strictly-superset blue mask. Any completion
-// from the dominated state either never stores into the extra blue nodes —
-// then it is verbatim legal from the dominator at identical cost — or it
-// does, and the dominator skips those stores for a strictly cheaper
-// finish. Either way the optimal cost survives the drop. The lex-least
-// tie-break does NOT necessarily survive, which is why this filter only
-// runs in the cost pass (PhaseConfig::use_dominance) and never in a pass
-// that reconstructs a schedule.
 template <typename Ops>
-void Searcher<Ops>::PruneDominated(std::vector<State>& live) {
-  if (live.size() < 2) return;
-  // Sort so that, within a red group, supersets precede subsets: blue
-  // popcount descending, then blue ascending for determinism.
-  if constexpr (Ops::kHasDominanceKey) {
-    auto& keys = dominance_keys_;
-    keys.clear();
-    keys.reserve(live.size());
-    for (const State s : live) keys.push_back(ops_.DominanceKey(s));
-    std::sort(keys.begin(), keys.end());
-    for (std::size_t i = 0; i < live.size(); ++i) live[i] = keys[i].second;
-  } else {
-    std::sort(live.begin(), live.end(), [this](State a, State b) {
-      return ops_.DominanceLess(a, b);
-    });
-  }
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < live.size(); ++i) {
-    const State s = live[i];
-    bool dominated = false;
-    for (std::size_t j = kept; j > 0 && ops_.SameRed(live[j - 1], s); --j) {
-      if (ops_.BlueSubsetOf(s, live[j - 1])) {
-        dominated = true;  // kept sibling holds every blue pebble we do
-        break;
-      }
-    }
-    if (!dominated) live[kept++] = s;
-  }
-  stats_.pruned_dominated += live.size() - kept;
-  live.resize(kept);
-}
-
-template <typename Ops>
-PhaseStatus Searcher<Ops>::RunPhase(const PhaseConfig& cfg, ThreadPool* pool,
-                                    std::size_t threads) {
-  dist_.Reset();
-  for (RelaxMemo& memo : chunk_memo_) memo.Clear();
-  pending_.clear();
-  best_goal_cost_.store(cfg.prime_bound, std::memory_order_relaxed);
-  goal_states_.clear();
-
-  const Weight h0 =
-      cfg.use_heuristic ? ops_.HeuristicState(start_, main_scratch_) : 0;
-  if (h0 >= kInfiniteCost) return PhaseStatus::kInfeasible;
+SearchStatus Searcher<Ops>::RunWaves(Weight h0, ThreadPool* pool,
+                                     std::size_t threads) {
   dist_.TryImprove(start_, 0, 0);
-  pending_[Key{h0, 0, 0}].push_back(start_);
+  PushPending(PendingLevel(Key{h0, 0, 0})->second, start_);
 
-  bool found = false;
   std::vector<State> live;
-
-  while (!found && !pending_.empty()) {
+  while (!pending_.empty()) {
     auto level_node = pending_.extract(pending_.begin());
     const Key level = level_node.key();
     std::vector<State>& frontier = level_node.mapped();
+    pending_capacity_ -= frontier.capacity();
 
     // Drop states this level no longer owns: a later relaxation in an
     // earlier wave may have improved them into a lower level (which then
@@ -1094,31 +964,21 @@ PhaseStatus Searcher<Ops>::RunPhase(const PhaseConfig& cfg, ThreadPool* pool,
       // Waves settle in ascending (f, g, len) order, so the first wave
       // holding a goal is the optimum; its states are never expanded.
       goal_key_ = level;
-      found = true;
-      break;
+      return SearchStatus::kFound;
     }
 
-    if (cfg.use_dominance) PruneDominated(live);
-    settled_ += live.size();
     stats_.expanded += live.size();
     stats_.max_frontier = std::max<std::uint64_t>(stats_.max_frontier,
                                                   live.size());
-    if (settled_ > options_.max_states) {
-      std::fprintf(stderr,
-                   "BruteForceScheduler: state limit exceeded (%zu states)\n",
-                   options_.max_states);
-      return Abort(PhaseStatus::kStateCap, level);
+    if (stats_.expanded > options_.max_states) {
+      return Abort(SearchStatus::kStateCap, level);
     }
     const std::size_t bytes = FrontierBytes();
     stats_.frontier_bytes = std::max<std::uint64_t>(stats_.frontier_bytes,
                                                     bytes);
     if (options_.frontier_bytes_cap != 0 &&
         bytes > options_.frontier_bytes_cap) {
-      std::fprintf(stderr,
-                   "BruteForceScheduler: frontier byte cap exceeded "
-                   "(%zu bytes)\n",
-                   options_.frontier_bytes_cap);
-      return Abort(PhaseStatus::kMemoryCap, level);
+      return Abort(SearchStatus::kMemoryCap, level);
     }
 
     if (pool != nullptr && live.size() >= threads * 2) {
@@ -1141,9 +1001,9 @@ PhaseStatus Searcher<Ops>::RunPhase(const PhaseConfig& cfg, ThreadPool* pool,
         chunk_updates_[c].Clear();
         const std::size_t lo = c * chunk;
         const std::size_t hi = std::min(lo + chunk, live.size());
-        group.Submit([this, &live, lo, hi, level, &cfg, &chunk_stats, c] {
-          ExpandRange(live, lo, hi, level, cfg, chunk_updates_[c],
-                      chunk_stats[c], chunk_scratch_[c], chunk_memo_[c]);
+        group.Submit([this, &live, lo, hi, level, &chunk_stats, c] {
+          ExpandRange(live, lo, hi, level, chunk_updates_[c], chunk_stats[c],
+                      chunk_scratch_[c], chunk_memo_[c]);
         });
       }
       group.Wait();
@@ -1156,30 +1016,28 @@ PhaseStatus Searcher<Ops>::RunPhase(const PhaseConfig& cfg, ThreadPool* pool,
       if (chunk_scratch_.empty()) chunk_scratch_.resize(1);
       if (chunk_memo_.empty()) chunk_memo_.resize(1);
       chunk_updates_[0].Clear();
-      ExpandRange(live, 0, live.size(), level, cfg, chunk_updates_[0],
-                  stats_, chunk_scratch_[0], chunk_memo_[0]);
+      ExpandRange(live, 0, live.size(), level, chunk_updates_[0], stats_,
+                  chunk_scratch_[0], chunk_memo_[0]);
       MergeUpdates(chunk_updates_[0]);
     }
     // Mid-wave aborts stop after the merge above, so the pending map holds
     // every update the workers managed to record — which is exactly what
     // the Abort() lower bound wants to scan.
     if (interner_full_.load(std::memory_order_relaxed)) {
-      return Abort(PhaseStatus::kMemoryCap, level);
+      return Abort(SearchStatus::kMemoryCap, level);
     }
     if (cancelled_.load(std::memory_order_relaxed)) {
       return Abort(CancelStatus(), level);
     }
   }
-
-  return found ? PhaseStatus::kFound : PhaseStatus::kInfeasible;
+  return SearchStatus::kInfeasible;
 }
 
 template <typename Ops>
 ScheduleResult Searcher<Ops>::Run(bool want_schedule,
                                   const Incumbent* incumbent) {
   // Span label carries the engine, so profiles separate dijkstra waves
-  // from informed ones. Recorded per Run (both passes of a two-phase
-  // dominance run fall under one span).
+  // from informed ones.
   const obs::ScopedSpan span(std::string("search.") +
                              ToString(options_.engine));
   struct StatsFlush {
@@ -1197,7 +1055,6 @@ ScheduleResult Searcher<Ops>::Run(bool want_schedule,
       static const obs::Counter improved("search.improved");
       static const obs::Counter pruned_bound("search.pruned_bound");
       static const obs::Counter pruned_heuristic("search.pruned_heuristic");
-      static const obs::Counter pruned_dominated("search.pruned_dominated");
       static const obs::Gauge max_frontier("search.max_frontier");
       static const obs::Gauge frontier_bytes("search.frontier_bytes");
       // Hot-path instrumentation (§14). Hit/miss splits are reporting-only
@@ -1215,7 +1072,6 @@ ScheduleResult Searcher<Ops>::Run(bool want_schedule,
       improved.Add(self->stats_.improved);
       pruned_bound.Add(self->stats_.pruned_bound);
       pruned_heuristic.Add(self->stats_.pruned_heuristic);
-      pruned_dominated.Add(self->stats_.pruned_dominated);
       max_frontier.Max(self->stats_.max_frontier);
       frontier_bytes.Max(self->stats_.frontier_bytes);
       bound_cache_hit.Add(self->stats_.bound_cache_hits);
@@ -1227,13 +1083,12 @@ ScheduleResult Searcher<Ops>::Run(bool want_schedule,
   } flush{this};
 
   const bool anytime = incumbent != nullptr;  // only the bb engine seeds one
-  const bool informed = options_.engine != SearchEngine::kDijkstra;
 
   if (ops_.InitialRedWeight() > budget_) return ScheduleResult::Infeasible();
 
   // h at the start state: the day-zero lower bound every abort falls back
   // on, and the cheapest infeasibility oracle we have.
-  const Weight h0 = informed ? ops_.HeuristicState(start_, main_scratch_) : 0;
+  const Weight h0 = informed_ ? ops_.HeuristicState(start_, main_scratch_) : 0;
   if (h0 >= kInfiniteCost) return ScheduleResult::Infeasible();
 
   // Day-zero reported bound: the start-state h, tightened by the caller's
@@ -1270,17 +1125,13 @@ ScheduleResult Searcher<Ops>::Run(bool want_schedule,
   // locks — TryImprove becomes plain loads and stores.
   dist_.SetConcurrent(pool_ptr != nullptr);
 
-  PhaseConfig cfg;
-  cfg.use_heuristic = informed;
-  const bool two_phase = options_.engine == SearchEngine::kAStarDominance ||
-                         options_.engine == SearchEngine::kBranchAndBound;
-  if (two_phase) {
-    cfg.use_len = false;
-    cfg.use_dominance = true;
+  // Incumbent pruning drops only states with f > incumbent >= C*, and
+  // every state on an optimal path has f <= C*, so the entries the
+  // canonical reconstruction reads are exactly the ones plain A* holds.
+  if (anytime) {
+    best_goal_cost_.store(incumbent->cost, std::memory_order_relaxed);
   }
-  if (anytime) cfg.prime_bound = incumbent->cost;
-
-  PhaseStatus status = RunPhase(cfg, pool_ptr, threads);
+  const SearchStatus status = RunWaves(h0, pool_ptr, threads);
   if (IsAbort(status)) {
     const Weight lb = std::max(root_lb, abort_lb_);
     if (anytime) {
@@ -1289,7 +1140,7 @@ ScheduleResult Searcher<Ops>::Run(bool want_schedule,
     }
     return TimedOutResult(status, lb);
   }
-  if (status == PhaseStatus::kInfeasible) {
+  if (status == SearchStatus::kInfeasible) {
     if (anytime) {
       // Unreachable in practice: the incumbent is a valid schedule, so a
       // goal with f <= its cost exists and incumbent pruning cannot drop
@@ -1307,34 +1158,7 @@ ScheduleResult Searcher<Ops>::Run(bool want_schedule,
   result.lower_bound = result.cost;
   result.optimality_gap = 0;
   result.termination = Termination::kOptimal;
-  if (!want_schedule) return result;
-
-  if (two_phase) {
-    // The cost pass ran without the length tier and with dominance drops,
-    // so its distance map cannot drive the canonical reconstruction.
-    // Re-run A* with the optimum as the pruning bound from move zero: it
-    // settles exactly the f <= C* states whose optimal-path entries the
-    // plain A* map would hold, so the reconstruction below is bit-for-bit
-    // the same schedule every engine returns.
-    PhaseConfig exact;
-    exact.use_heuristic = true;
-    exact.prime_bound = result.cost;
-    status = RunPhase(exact, pool_ptr, threads);
-    if (IsAbort(status)) {
-      // The optimum C* is already proven; only the canonical schedule is
-      // missing. With an incumbent in hand, return it bounded by C*
-      // (often gap zero, i.e. the incumbent was optimal all along).
-      if (anytime) {
-        return AnytimeResult(want_schedule, *incumbent, result.cost,
-                             ToTermination(status));
-      }
-      return TimedOutResult(status, result.cost);
-    }
-    assert(status == PhaseStatus::kFound);
-    if (status != PhaseStatus::kFound) return ScheduleResult::Infeasible();
-    assert(goal_key_.g == result.cost);
-  }
-  result.schedule = Reconstruct();
+  if (want_schedule) result.schedule = Reconstruct();
   return result;
 }
 
@@ -1420,7 +1244,6 @@ const char* ToString(SearchEngine engine) {
   switch (engine) {
     case SearchEngine::kDijkstra: return "dijkstra";
     case SearchEngine::kAStar: return "astar";
-    case SearchEngine::kAStarDominance: return "astar+dominance";
     case SearchEngine::kBranchAndBound: return "bb";
   }
   return "unknown";
@@ -1435,12 +1258,25 @@ ScheduleResult BruteForceScheduler::Search(Weight budget,
   // fits one 64-bit word; wider graphs (or the differential-testing hook)
   // take the interned wide representation. Both return bit-identical
   // results — there is no graph size the engines refuse.
-  const bool wide = graph_.num_nodes() > 32 || options.force_wide_state;
+  const NodeId n = graph_.num_nodes();
+  const bool wide = n > 32 || options.force_wide_state;
+
+  // Pebble-mask bits past the graph follow Simulate's rule in both state
+  // representations: initial bits there are ignored, and a required-red
+  // bit there can never be met.
+  const std::uint64_t in_graph =
+      n >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+  if ((options.required_red_at_end & ~in_graph) != 0) {
+    if (options.stats != nullptr) *options.stats = SearchStats{};
+    return ScheduleResult::Infeasible();
+  }
+  BruteForceOptions opts = options;
+  opts.initial_red &= in_graph;
+  if (opts.initial_blue.has_value()) *opts.initial_blue &= in_graph;
 
   // Start-state certificates and root orbit pruning are sound only for
   // the standard game (empty red, sources blue, sinks-blue goal); drop
   // them silently for the memory-state variants.
-  BruteForceOptions opts = options;
   const bool standard_game =
       opts.initial_red == 0 && !opts.initial_blue.has_value() &&
       opts.required_red_at_end == 0 && opts.require_sinks_blue;

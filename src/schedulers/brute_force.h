@@ -7,35 +7,26 @@
 // few dozen nodes, and the branch-and-bound engine degrades gracefully on
 // anything larger (see the anytime contract below).
 //
-// Four engines share one searcher (DESIGN.md §9/§11):
+// Three engines share one searcher (DESIGN.md §9/§11):
 //
 //   kDijkstra        — the PR 3 uninformed level-synchronous search, kept
 //                      as the audited baseline for differential tests and
 //                      the --engine-compare benchmark.
-//   kAStar           — A* ordered by (g + h, g, len) where h is the
-//                      core/state_bound admissible remaining-I/O bound
-//                      (Prop 2.4 generalized per state). h is admissible
-//                      but not consistent, so states reopen when their g
-//                      improves; the first settled goal is still optimal.
-//   kAStarDominance  — the exact-mode default. Cost is found by an A*
-//                      pass that additionally (a) coalesces zero-cost
-//                      M3/M4 closures by dropping the length tier from
-//                      the wave key — all interleavings of a free-move
-//                      closure collapse into one wave — and (b) drops a
-//                      wave state when a same-wave state with equal red
-//                      mask and superset blue mask dominates it. When a
-//                      schedule is wanted, a second A* pass primed with
-//                      the now-known optimal cost rebuilds the canonical
-//                      distance map (dominance off, so the lex-least
-//                      tie-break is undisturbed).
+//   kAStar           — the exact-mode default. A* ordered by (g + h, g,
+//                      len) where h is the core/state_bound admissible
+//                      remaining-I/O bound (Prop 2.4 generalized per
+//                      state). h is admissible but not consistent, so
+//                      states reopen when their g improves; the first
+//                      settled goal is still optimal.
 //   kBranchAndBound  — the anytime engine ("bb"). Seeds an incumbent
 //                      schedule from the polynomial heuristics (belady,
-//                      then greedy-topo), primes the dominance engine's
-//                      pruning bound with the incumbent cost, and under
-//                      any deadline, frontier byte budget, or state cap
-//                      returns the incumbent plus a sound optimality gap
-//                      instead of failing. Run to completion it returns
-//                      the same canonical optimum as every other engine.
+//                      then greedy-topo), starts the A* pruning bound at
+//                      the incumbent cost, and under any deadline,
+//                      frontier byte budget, or state cap returns the
+//                      incumbent plus a sound optimality gap instead of
+//                      failing. Run to completion it settles exactly the
+//                      states kAStar settles and returns the same
+//                      canonical optimum as every other engine.
 //
 // Anytime contract (scheduler.h): every feasible result satisfies
 // lower_bound <= optimal <= cost with optimality_gap == cost -
@@ -64,9 +55,9 @@
 // moves, then the lexicographically-least move sequence under the move
 // order M1 < M2 < M3 < M4, node id ascending. All engines reconstruct
 // from a distance map whose optimal-path entries provably coincide, so
-// `--threads 1` vs `--threads N` and dijkstra vs A* vs A*+dominance vs
-// bb all agree bit for bit; differential tests at 1/2/8 threads pin this
-// for both the packed and the wide state representation.
+// `--threads 1` vs `--threads N` and dijkstra vs A* vs bb all agree bit
+// for bit; differential tests at 1/2/8 threads pin this for both the
+// packed and the wide state representation.
 #pragma once
 
 #include <algorithm>
@@ -83,7 +74,6 @@ namespace wrbpg {
 enum class SearchEngine : std::uint8_t {
   kDijkstra = 0,
   kAStar,
-  kAStarDominance,
   kBranchAndBound,
 };
 
@@ -102,7 +92,6 @@ struct SearchStats {
   std::uint64_t improved = 0;          // relaxations that changed the map
   std::uint64_t pruned_bound = 0;      // cut by f > best known goal cost
   std::uint64_t pruned_heuristic = 0;  // cut by h == infinity (dead state)
-  std::uint64_t pruned_dominated = 0;  // wave states dropped by dominance
   // Peak frontier occupancy: the largest number of live states any single
   // wave expanded — the search's working-set high-water mark. A pure
   // function of (graph, budget, options) like `expanded`/`waves`; merged
@@ -131,7 +120,6 @@ struct SearchStats {
     improved += other.improved;
     pruned_bound += other.pruned_bound;
     pruned_heuristic += other.pruned_heuristic;
-    pruned_dominated += other.pruned_dominated;
     max_frontier = std::max(max_frontier, other.max_frontier);
     frontier_bytes = std::max(frontier_bytes, other.frontier_bytes);
     bound_cache_hits += other.bound_cache_hits;
@@ -143,7 +131,11 @@ struct SearchStats {
 };
 
 struct BruteForceOptions {
-  std::uint64_t initial_red = 0;  // bitmask over NodeId (ids < 64)
+  // The three pebble masks are bitmasks over NodeId (ids < 64), read by
+  // Simulate's rule: initial bits at or above num_nodes() are ignored,
+  // and a required-red bit there can never be met, so the game is
+  // infeasible.
+  std::uint64_t initial_red = 0;
   // Blue pebbles at the start; defaults to the sources A(G).
   std::optional<std::uint64_t> initial_blue;
   // Goal: these nodes must hold red pebbles at the end (memory-state games).
@@ -152,8 +144,7 @@ struct BruteForceOptions {
   bool require_sinks_blue = true;
   // Safety valve: give up past this many settled states. The bb engine
   // returns its incumbent with termination == kMemoryCap; the exact
-  // engines come back timed_out. Counted cumulatively across both passes
-  // of a two-phase run.
+  // engines come back timed_out.
   std::size_t max_states = 20'000'000;
   // Byte budget for the search containers (dist map, interned states,
   // pending levels), checked at wave boundaries; 0 disables. Exhaustion
@@ -179,7 +170,7 @@ struct BruteForceOptions {
   // runs that complete; they differ only in how many states they touch on
   // the way (see the --engine-compare benchmark) and in how they behave
   // when interrupted (only bb holds an incumbent).
-  SearchEngine engine = SearchEngine::kAStarDominance;
+  SearchEngine engine = SearchEngine::kAStar;
   // Testing hook: route a <= 32-node graph through the wide interned-state
   // representation instead of the packed fast path. Results are
   // bit-identical (pinned by engine_differential_test); only the
@@ -203,8 +194,7 @@ struct BruteForceOptions {
   // orbit's minimum — survives and results stay bit-identical (pinned by
   // orbit_prune_differential_test). Ignored for non-standard games.
   const std::vector<NodeId>* prune_root_loads = nullptr;
-  // When non-null, filled with the search's counters on return
-  // (aggregated over both passes of a two-phase run).
+  // When non-null, filled with the search's counters on return.
   SearchStats* stats = nullptr;
 };
 

@@ -66,9 +66,7 @@ class SpinLock {
 // the Definition 2.2 cost g, then schedule length. The length component
 // makes the order well-founded under the free moves (M3/M4 cost nothing,
 // so cost alone admits zero-cost cycles like compute-then-delete) and is
-// the middle tier of the determinism contract's tie-break; the cost-only
-// pass of the dominance engine zeroes it out so a zero-cost closure is
-// one wave, not a cascade of length-stratified ones.
+// the middle tier of the determinism contract's tie-break.
 struct WaveKey {
   Weight f = 0;
   Weight g = 0;
@@ -114,14 +112,13 @@ class UpdateBuffer {
 };
 
 // Sharded insert-only SearchState -> heuristic-value cache. The A*
-// heuristic is a pure function of the configuration, so reopening, wave
-// dominance, and the two passes of a dominance/bb run keep re-deriving h
-// for states the search has already priced; the searcher consults this
-// cache on the slow (full re-walk) heuristic paths only — the fast
-// incremental deltas are cheaper than a probe. kInfiniteCost is a
-// legitimate cached value (dead states are exactly the ones regenerated
-// most), hence the explicit `used` flag. Insert races between workers are
-// benign: both write the same h.
+// heuristic is a pure function of the configuration, so reopening and
+// regenerated successors keep re-deriving h for states the search has
+// already priced; the searcher consults this cache on the slow (full
+// re-walk) heuristic paths only — the fast incremental deltas are cheaper
+// than a probe. kInfiniteCost is a legitimate cached value (dead states
+// are exactly the ones regenerated most), hence the explicit `used` flag.
+// Insert races between workers are benign: both write the same h.
 class BoundCache {
  public:
   bool Find(SearchState s, Weight* h) const {
@@ -251,15 +248,6 @@ class FlatDistMap {
     if (shard.slots.empty()) return nullptr;
     const Entry* e = shard.ProbeConst(s);
     return e->used ? e : nullptr;
-  }
-
-  // Empties every shard but keeps the slabs — the next phase of a
-  // two-phase search reuses the capacity the first phase grew into.
-  void Reset() {
-    for (Shard& shard : shards_) {
-      for (Entry& e : shard.slots) e.used = false;
-      shard.size = 0;
-    }
   }
 
   std::size_t size() const {

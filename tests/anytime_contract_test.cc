@@ -5,7 +5,7 @@
 //
 // with `termination` recording why the search stopped. On runs that
 // complete, the gap closes to zero and the result is BIT-IDENTICAL to the
-// astar+dominance optimum at every thread count. On interrupted runs —
+// astar optimum at every thread count. On interrupted runs —
 // deadline, state cap, byte cap, or a pre-expired token — the engine
 // returns its seeded incumbent instead of failing, and the certified gap
 // sandwiches the (independently computed) optimum.
@@ -101,15 +101,15 @@ TEST(AnytimeContract, SandwichOnSmallFamilies) {
   }
 }
 
-// A completed bb run (no deadline) is bit-identical to astar+dominance —
-// same cost, same canonical schedule — at 1, 2, and 8 threads.
-TEST(AnytimeContract, CompletedRunBitMatchesDominanceEngine) {
+// A completed bb run (no deadline) is bit-identical to astar — same cost,
+// same canonical schedule — at 1, 2, and 8 threads.
+TEST(AnytimeContract, CompletedRunBitMatchesAStar) {
   const DwtGraph dwt = BuildDwt(8, 1);
   const Weight budget = MinValidBudget(dwt.graph) + 2;
   const BruteForceScheduler scheduler(dwt.graph);
 
   BruteForceOptions ref_options;
-  ref_options.engine = SearchEngine::kAStarDominance;
+  ref_options.engine = SearchEngine::kAStar;
   ref_options.threads = 1;
   const ScheduleResult ref = scheduler.Run(budget, ref_options);
   ASSERT_TRUE(ref.feasible);

@@ -1,11 +1,12 @@
 // Differential tests for the DESIGN.md §9 engine-independence contract:
-// dijkstra, astar, astar+dominance, and bb return BIT-IDENTICAL results —
-// same feasibility, same cost, same canonical move sequence — at every
-// thread count AND through either state representation (the packed
-// 64-bit fast path or the wide interned one, force_wide_state). The
-// informed engines prune and reorder the search, but they reconstruct
-// from a distance map whose optimal-path entries provably coincide with
-// the uninformed one.
+// dijkstra, astar, and bb return BIT-IDENTICAL results — same
+// feasibility, same cost, same canonical move sequence — at every thread
+// count AND through either state representation (the packed 64-bit fast
+// path or the wide interned one, force_wide_state). The informed engines
+// prune and reorder the search, but they reconstruct from a distance map
+// whose optimal-path entries provably coincide with the uninformed one.
+// bb is astar with its pruning bound started at the incumbent cost, so a
+// completed bb run also settles exactly astar's states, wave for wave.
 //
 // Coverage mirrors parallel_determinism_test.cc: four graph families at
 // several budgets (each engine at 1/2/8 threads against the dijkstra
@@ -15,7 +16,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/analysis.h"
@@ -38,7 +41,6 @@ using testing::MakeDiamond;
 
 constexpr SearchEngine kAllEngines[] = {SearchEngine::kDijkstra,
                                         SearchEngine::kAStar,
-                                        SearchEngine::kAStarDominance,
                                         SearchEngine::kBranchAndBound};
 
 void ExpectIdentical(const ScheduleResult& ref, const ScheduleResult& got,
@@ -52,12 +54,22 @@ void ExpectIdentical(const ScheduleResult& ref, const ScheduleResult& got,
       << got.schedule.ToString();
 }
 
+// A completed bb run settles exactly astar's states: same expanded count
+// and the same number of waves.
+void ExpectSameSearch(const SearchStats& astar, const SearchStats& bb,
+                      const std::string& label) {
+  EXPECT_EQ(bb.expanded, astar.expanded) << label << ": bb vs astar";
+  EXPECT_EQ(bb.waves, astar.waves) << label << ": bb vs astar";
+}
+
 // Reference = dijkstra sequential; every other (engine, threads) pair
-// must reproduce it bit for bit.
+// must reproduce it bit for bit. None of these runs carries a deadline or
+// a cap, so every bb run completes and is held to astar's search stats.
 void ExpectEnginesAgree(const Graph& graph, Weight budget,
                         const BruteForceOptions& base,
                         const std::string& label) {
   const BruteForceScheduler scheduler(graph);
+  std::map<std::pair<bool, std::size_t>, SearchStats> astar_stats;
   BruteForceOptions options = base;
   options.engine = SearchEngine::kDijkstra;
   options.threads = 1;
@@ -79,14 +91,22 @@ void ExpectEnginesAgree(const Graph& graph, Weight budget,
         options.engine = engine;
         options.threads = threads;
         options.force_wide_state = force_wide;
+        SearchStats stats;
+        options.stats = &stats;
         const ScheduleResult got = scheduler.Run(budget, options);
-        ExpectIdentical(ref, got,
-                        label + " engine=" + ToString(engine) +
-                            " threads=" + std::to_string(threads) +
-                            (force_wide ? " wide" : " packed"));
+        const std::string run_label = label + " engine=" + ToString(engine) +
+                                      " threads=" + std::to_string(threads) +
+                                      (force_wide ? " wide" : " packed");
+        ExpectIdentical(ref, got, run_label);
         if (got.feasible) {
           EXPECT_EQ(got.lower_bound, ref.cost) << label;
           EXPECT_EQ(got.termination, Termination::kOptimal) << label;
+        }
+        if (engine == SearchEngine::kAStar) {
+          astar_stats[{force_wide, threads}] = stats;
+        } else if (engine == SearchEngine::kBranchAndBound) {
+          ExpectSameSearch(astar_stats.at({force_wide, threads}), stats,
+                           run_label);
         }
       }
     }
@@ -94,6 +114,7 @@ void ExpectEnginesAgree(const Graph& graph, Weight budget,
     options.engine = engine;
     options.threads = 1;
     options.force_wide_state = false;
+    options.stats = nullptr;
     const Weight cost = scheduler.CostOnly(budget, options);
     if (ref.feasible) {
       EXPECT_EQ(cost, ref.cost) << label << " engine=" << ToString(engine);
@@ -176,6 +197,34 @@ TEST(EngineDifferential, InfeasibleBudgetAgrees) {
                      "diamond infeasible");
 }
 
+// Pebble-mask bits past the graph follow Simulate's rule in both state
+// representations: stray initial bits are ignored, and a stray
+// required-red bit can never be met, so the game is infeasible.
+TEST(EngineDifferential, OutOfRangeMaskBitsAgree) {
+  const Graph graph = MakeChain(5);
+  const Weight budget = 3;
+  const std::uint64_t stray = std::uint64_t{1} << 20;
+  const BruteForceScheduler scheduler(graph);
+  const ScheduleResult plain = scheduler.Run(budget);
+  ASSERT_TRUE(plain.feasible);
+
+  BruteForceOptions red;
+  red.initial_red = stray;
+  ExpectEnginesAgree(graph, budget, red, "chain5 initial_red bit 20");
+  EXPECT_EQ(scheduler.Run(budget, red).cost, plain.cost);
+
+  BruteForceOptions blue;
+  blue.initial_blue = stray | 1;  // the source plus a stray bit
+  ExpectEnginesAgree(graph, budget, blue, "chain5 initial_blue bit 20");
+  EXPECT_EQ(scheduler.Run(budget, blue).cost, plain.cost);
+
+  BruteForceOptions required;
+  required.required_red_at_end = stray;
+  ExpectEnginesAgree(graph, budget, required,
+                     "chain5 required_red_at_end bit 20");
+  EXPECT_FALSE(scheduler.Run(budget, required).feasible);
+}
+
 // Memory-state games (initial pebbles, required final red set) exercise
 // the heuristic's required_red term and non-source initial blue sets.
 TEST(EngineDifferential, MemoryStateGamesAgree) {
@@ -254,18 +303,26 @@ TEST(EngineDifferential, FaultInjectorDerivedCases) {
       options.engine = SearchEngine::kDijkstra;
       options.threads = 1;
       const ScheduleResult ref = scheduler.Run(fault.budget, options);
-      for (const SearchEngine engine :
-           {SearchEngine::kAStar, SearchEngine::kAStarDominance,
-            SearchEngine::kBranchAndBound}) {
-        for (const std::size_t threads : {1u, 8u}) {
+      for (const std::size_t threads : {1u, 8u}) {
+        SearchStats astar_stats;
+        for (const SearchEngine engine :
+             {SearchEngine::kAStar, SearchEngine::kBranchAndBound}) {
           options.engine = engine;
           options.threads = threads;
+          SearchStats stats;
+          options.stats = &stats;
           const ScheduleResult got = scheduler.Run(fault.budget, options);
-          ExpectIdentical(ref, got,
-                          base.name + " " + fault.label + " engine=" +
-                              ToString(engine) +
-                              " threads=" + std::to_string(threads));
+          const std::string run_label =
+              base.name + " " + fault.label + " engine=" + ToString(engine) +
+              " threads=" + std::to_string(threads);
+          ExpectIdentical(ref, got, run_label);
+          if (engine == SearchEngine::kAStar) {
+            astar_stats = stats;
+          } else {
+            ExpectSameSearch(astar_stats, stats, run_label);
+          }
         }
+        options.stats = nullptr;
       }
       ++cases_run;
     }

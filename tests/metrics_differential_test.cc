@@ -1,6 +1,6 @@
 // The observability determinism contract (DESIGN.md §10): metrics are
 // write-only for every algorithm, so collection on vs. off must produce
-// bit-identical schedules — across all four exact engines, at 1/2/8
+// bit-identical schedules — across all three exact engines, at 1/2/8
 // threads, and through the robust fallback chain. A divergence here means
 // some scheduling decision read a counter, which the design forbids.
 #include <gtest/gtest.h>
@@ -21,7 +21,6 @@ namespace {
 
 constexpr SearchEngine kEngines[] = {SearchEngine::kDijkstra,
                                      SearchEngine::kAStar,
-                                     SearchEngine::kAStarDominance,
                                      SearchEngine::kBranchAndBound};
 constexpr std::size_t kThreadCounts[] = {1, 2, 8};
 

@@ -66,7 +66,7 @@ std::vector<NodeId> PrunableSources(const Graph& graph) {
 
 TEST(OrbitPruneDifferential, BitIdenticalAcrossEnginesThreadsAndStates) {
   const std::vector<SearchEngine> engines = {
-      SearchEngine::kDijkstra, SearchEngine::kAStarDominance,
+      SearchEngine::kDijkstra, SearchEngine::kAStar,
       SearchEngine::kBranchAndBound};
   const std::vector<std::size_t> thread_counts = {1, 2, 8};
 
