@@ -44,8 +44,19 @@
 // at their minimum valid budgets — must show the budget-aware bounds
 // STRICTLY dominating the algorithmic bound. JSON to BENCH_bounds.json;
 // exit 1 on any verification failure, unsound bound, or lost dominance.
+//
+// `bench_scheduler_perf --canonical-scaling [--json <path>]` times the
+// canonical layer (DESIGN.md §12.2) — HashGraph, FindIsomorphism against
+// the unpermuted reference, and RecognizeFamily — on randomly relabeled
+// bare kary(2,k) and dwt(2^k,k) graphs for k = 8..14 (kary(2,14) has
+// 2^15-1 nodes, dwt(2^14,14) 49,150). Each time is the fastest of five
+// in-process rounds; each row also records whether the relabeled graph was
+// matched to its reference, kept its hash, and was recognized. JSON to
+// BENCH_canonical.json; tools/bench_diff.py is the gate (those flags, and
+// each family's growth per doubling of the node count).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <functional>
 #include <iomanip>
@@ -64,12 +75,15 @@
 #include "dataflows/random_dag.h"
 #include "dataflows/tree_graph.h"
 #include "ganalysis/bounds.h"
+#include "ganalysis/canonical.h"
+#include "ganalysis/recognition.h"
 #include "obs/report.h"
 #include "schedulers/brute_force.h"
 #include "schedulers/dwt_optimal.h"
 #include "schedulers/kary_tree.h"
 #include "schedulers/layer_by_layer.h"
 #include "schedulers/mvm_tiling.h"
+#include "tests/permute_graph.h"
 #include "util/cancel.h"
 #include "util/cli.h"
 #include "util/rng.h"
@@ -834,6 +848,120 @@ int RunBoundCompare(const CliArgs& args) {
   return 0;
 }
 
+// ---------------------------------------------------------------------------
+// --canonical-scaling: the canonical layer's growth with graph size on
+// relabeled bare family instances (DESIGN.md §12.2).
+// ---------------------------------------------------------------------------
+
+int RunCanonicalScaling(const CliArgs& args) {
+  const std::string json_path = args.GetString("json", "BENCH_canonical.json");
+  if (!args.error().empty()) {
+    std::cerr << "error: " << args.error() << "\n";
+    return 2;
+  }
+  constexpr int kMinK = 8;
+  constexpr int kMaxK = 14;
+  constexpr int kRounds = 5;
+
+  struct Row {
+    std::string family;
+    int k = 0;
+    std::string label;
+    Graph reference;
+    Graph bare;
+    double hash_ms = 1e300, iso_ms = 1e300, recog_ms = 1e300;
+    double total_ms = 1e300;
+    bool found = true, recognized = true, hash_invariant = true;
+  };
+  std::vector<Row> rows;
+  for (const std::string family : {"kary", "dwt"}) {
+    for (int k = kMinK; k <= kMaxK; ++k) {
+      Row row;
+      row.family = family;
+      row.k = k;
+      const std::int64_t n = std::int64_t{1} << k;
+      row.label = family == "kary" ? "kary:2," + std::to_string(k)
+                                   : "dwt:" + std::to_string(n) + "," +
+                                         std::to_string(k);
+      row.reference = family == "kary" ? BuildPerfectTree(2, k).graph
+                                       : BuildDwt(n, k).graph;
+      row.bare = testing::PermuteGraph(
+          row.reference, 0xca11u + static_cast<std::uint64_t>(k));
+      rows.push_back(std::move(row));
+    }
+  }
+  // Each round times every row once, so a burst of host noise lands on
+  // one row's sample in one round rather than on all of its samples;
+  // every time is the fastest round's.
+  for (int round = 0; round < kRounds; ++round) {
+    for (Row& row : rows) {
+      SweepClock::time_point start = SweepClock::now();
+      const GraphHash hash = HashGraph(row.bare);
+      const double h = ElapsedMs(start);
+      start = SweepClock::now();
+      const auto map = FindIsomorphism(row.reference, row.bare);
+      const double i = ElapsedMs(start);
+      start = SweepClock::now();
+      const RecognitionResult recognition = RecognizeFamily(row.bare);
+      const double g = ElapsedMs(start);
+      row.hash_ms = std::min(row.hash_ms, h);
+      row.iso_ms = std::min(row.iso_ms, i);
+      row.recog_ms = std::min(row.recog_ms, g);
+      row.total_ms = std::min(row.total_ms, h + i + g);
+      row.found = row.found && map.has_value();
+      row.recognized = row.recognized && recognition.label == row.label;
+      row.hash_invariant =
+          row.hash_invariant && hash == HashGraph(row.reference);
+    }
+  }
+
+  std::cout << std::left << std::setw(16) << "instance" << std::right
+            << std::setw(8) << "nodes" << std::setw(10) << "hash_ms"
+            << std::setw(10) << "iso_ms" << std::setw(10) << "recog_ms"
+            << std::setw(10) << "total_ms" << std::setw(7) << "found"
+            << std::setw(7) << "recog" << std::setw(7) << "hash=" << "\n";
+  obs::Json json_rows = obs::Json::Array();
+  for (const Row& row : rows) {
+    auto yes_no = [](bool b) { return b ? "yes" : "NO"; };
+    std::cout << std::left << std::setw(16) << row.label << std::right
+              << std::setw(8) << row.reference.num_nodes() << std::fixed
+              << std::setprecision(3) << std::setw(10) << row.hash_ms
+              << std::setw(10) << row.iso_ms << std::setw(10)
+              << row.recog_ms << std::setw(10) << row.total_ms
+              << std::setw(7) << yes_no(row.found) << std::setw(7)
+              << yes_no(row.recognized) << std::setw(7)
+              << yes_no(row.hash_invariant) << "\n";
+
+    obs::Json json_row = obs::Json::Object();
+    json_row.Set("instance", row.label);
+    json_row.Set("family", row.family);
+    json_row.Set("k", row.k);
+    json_row.Set("nodes",
+                 static_cast<std::uint64_t>(row.reference.num_nodes()));
+    json_row.Set("edges", row.reference.num_edges());
+    json_row.Set("hash_ms", row.hash_ms);
+    json_row.Set("iso_ms", row.iso_ms);
+    json_row.Set("recognize_ms", row.recog_ms);
+    json_row.Set("time_ms", row.total_ms);
+    json_row.Set("found", row.found);
+    json_row.Set("recognized", row.recognized);
+    json_row.Set("hash_invariant", row.hash_invariant);
+    json_rows.Push(std::move(json_row));
+  }
+
+  if (!json_path.empty()) {
+    obs::Json doc = obs::ObsDocument("canonical-scaling");
+    doc.Set("rows", std::move(json_rows));
+    std::string error;
+    if (!obs::WriteJsonFile(json_path, doc, &error)) {
+      std::cerr << "error: " << error << "\n";
+      return 2;
+    }
+    std::cout << "  [json] " << json_path << "\n";
+  }
+  return 0;
+}
+
 }  // namespace
 }  // namespace wrbpg
 
@@ -854,6 +982,10 @@ int main(int argc, char** argv) {
     if (std::string_view(argv[i]) == "--bound-compare") {
       const wrbpg::CliArgs args(argc, argv);
       return wrbpg::RunBoundCompare(args);
+    }
+    if (std::string_view(argv[i]) == "--canonical-scaling") {
+      const wrbpg::CliArgs args(argc, argv);
+      return wrbpg::RunCanonicalScaling(args);
     }
   }
   benchmark::Initialize(&argc, argv);

@@ -22,8 +22,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <iostream>
-#include <numeric>
-#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,39 +29,16 @@
 #include "core/analysis.h"
 #include "core/binio.h"
 #include "core/graph.h"
-#include "core/graph_builder.h"
 #include "dataflows/builtin_spec.h"
 #include "obs/json.h"
 #include "obs/report.h"
 #include "service/service.h"
+#include "tests/permute_graph.h"
 #include "util/cli.h"
 
 using namespace wrbpg;
 
 namespace {
-
-// Relabels the graph by a seeded random permutation: structurally the
-// same instance, byte-wise a different one — exactly what the service's
-// isomorph cache path is for.
-Graph PermuteGraph(const Graph& graph, std::uint64_t seed) {
-  const NodeId n = graph.num_nodes();
-  std::vector<NodeId> perm(n);  // old id -> new id
-  std::iota(perm.begin(), perm.end(), NodeId{0});
-  std::mt19937_64 rng(seed);
-  std::shuffle(perm.begin(), perm.end(), rng);
-  std::vector<NodeId> inv(n);
-  for (NodeId v = 0; v < n; ++v) inv[perm[v]] = v;
-  GraphBuilder builder;
-  for (NodeId j = 0; j < n; ++j) {
-    builder.AddNode(graph.weight(inv[j]), graph.name(inv[j]));
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    for (const NodeId c : graph.children(v)) {
-      builder.AddEdge(perm[v], perm[c]);
-    }
-  }
-  return builder.BuildOrDie();
-}
 
 double Percentile(std::vector<double> values, double p) {
   if (values.empty()) return 0;
@@ -116,7 +91,7 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < 2; ++i) {
     Instance iso;
     iso.label = pool[i].label + "~perm";
-    iso.graph = PermuteGraph(pool[i].graph, 0xfeed + i);
+    iso.graph = testing::PermuteGraph(pool[i].graph, 0xfeed + i);
     iso.budget = pool[i].budget;
     pool.push_back(std::move(iso));
   }

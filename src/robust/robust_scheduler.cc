@@ -67,30 +67,49 @@ RobustResult RobustScheduler::Run(Weight budget,
     return options.deadline_ms - MsSince(chain_start);
   };
 
-  // Certified start-state lower bound (ganalysis/bounds.h): the best of
-  // the Prop 2.4 algorithmic bound and the budget-aware hold-or-pay
-  // certificates. Fed to the exact stage's reported bound and used as the
-  // floor of the chain's final lower bound — it subsumes the plain
-  // AlgorithmicLowerBound as its base term.
-  Weight cert_lb = BestCertifiedBound(graph_, budget);
-
-  // Tighten with the A* heuristic evaluated at the canonical start state
-  // (core/state_bound.h): StartBound sees budget-dependent deadness (a
-  // needed compute whose Prop 2.3 footprint exceeds the budget) that the
-  // ganalysis certificates cannot, so on tight budgets it can beat them.
-  // One chain-owned WideScratch backs every StartBound query this Run()
-  // makes — the speculative stages all read the folded `cert_lb`, so the
-  // closure buffers are allocated once here, never per stage (and never
-  // at all on the <= 32-node packed path, where build_wide is false).
-  // An infinite bound means no valid schedule exists at this budget; the
-  // stages will each discover that on their own, and folding infinity
-  // into a certificate the bb engine treats as finite would be wrong.
-  StateBound::WideScratch bound_scratch;
-  const StateBound start_bound(graph_, budget, /*required_red=*/0,
-                               /*require_sinks_blue=*/true,
-                               /*build_wide=*/false);
-  const Weight start_lb = start_bound.StartBound(bound_scratch);
-  if (start_lb < kInfiniteCost) cert_lb = std::max(cert_lb, start_lb);
+  // The pre-stage runs before any stage and outside the deadline; its
+  // span's children show where that time goes.
+  Weight cert_lb = 0;
+  RecognitionResult family;
+  {
+    const obs::ScopedSpan prestage("robust.prestage");
+    {
+      // Certified start-state lower bound (ganalysis/bounds.h): the best
+      // of the Prop 2.4 algorithmic bound and the budget-aware
+      // hold-or-pay certificates. Fed to the exact stage's reported bound
+      // and used as the floor of the chain's final lower bound — it
+      // subsumes the plain AlgorithmicLowerBound as its base term.
+      const obs::ScopedSpan bound_span("robust.prestage.certified_bound");
+      cert_lb = BestCertifiedBound(graph_, budget);
+    }
+    {
+      // Tighten with the A* heuristic evaluated at the canonical start
+      // state (core/state_bound.h): StartBound sees budget-dependent
+      // deadness (a needed compute whose Prop 2.3 footprint exceeds the
+      // budget) that the ganalysis certificates cannot, so on tight
+      // budgets it can beat them. One chain-owned WideScratch backs every
+      // StartBound query this Run() makes — the speculative stages all
+      // read the folded `cert_lb`, so the closure buffers are allocated
+      // once here, never per stage (and never at all on the <= 32-node
+      // packed path, where build_wide is false). An infinite bound means
+      // no valid schedule exists at this budget; the stages will each
+      // discover that on their own, and folding infinity into a
+      // certificate the bb engine treats as finite would be wrong.
+      const obs::ScopedSpan start_span("robust.prestage.start_bound");
+      StateBound::WideScratch bound_scratch;
+      const StateBound start_bound(graph_, budget, /*required_red=*/0,
+                                   /*require_sinks_blue=*/true,
+                                   /*build_wide=*/false);
+      const Weight start_lb = start_bound.StartBound(bound_scratch);
+      if (start_lb < kInfiniteCost) cert_lb = std::max(cert_lb, start_lb);
+    }
+    if (dwt_ == nullptr) {
+      // Family recognition for the recognition stage below; a caller
+      // holding the DwtGraph already named the family.
+      const obs::ScopedSpan recognize_span("robust.prestage.recognize");
+      family = RecognizeFamily(graph_);
+    }
+  }
 
   std::vector<Stage> stages;
 
@@ -109,43 +128,39 @@ RobustResult RobustScheduler::Run(Weight budget,
       recog.skip_detail =
           "caller already identified the family; the dwt-optimal stage "
           "handles it";
+    } else if (!family.recognized()) {
+      recog.skipped = true;
+      recog.skip_detail = "no closed-form family recognized";
     } else {
-      RecognitionResult family = RecognizeFamily(graph_);
-      if (!family.recognized()) {
-        recog.skipped = true;
-        recog.skip_detail = "no closed-form family recognized";
-      } else {
-        obs::Add(obs::RegisterCounter(std::string("robust.recognized.") +
-                                      ToString(family.family)),
-                 1);
-        if (family.family == GraphFamily::kDwt) {
-          recog.engine = [this, budget, family = std::move(family)](
-                             const CancelToken* cancel) {
-            const DwtGraph ref =
-                BuildDwt(family.param0, static_cast<int>(family.param1),
-                         family.config);
-            ScheduleResult result = DwtOptimalScheduler(ref).Run(budget,
-                                                                 cancel);
-            if (result.feasible) {
-              // Rename the reference schedule back onto our node ids
-              // through the inverse of the verified isomorphism.
-              std::vector<NodeId> from_reference(graph_.num_nodes(),
-                                                 kInvalidNode);
-              for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
-                from_reference[family.to_reference[v]] = v;
-              }
-              std::vector<Move> moves = result.schedule.moves();
-              for (Move& move : moves) move.node = from_reference[move.node];
-              result.schedule = Schedule(std::move(moves));
+      obs::Add(obs::RegisterCounter(std::string("robust.recognized.") +
+                                    ToString(family.family)),
+               1);
+      if (family.family == GraphFamily::kDwt) {
+        recog.engine = [this, budget, family = std::move(family)](
+                           const CancelToken* cancel) {
+          const DwtGraph ref =
+              BuildDwt(family.param0, static_cast<int>(family.param1),
+                       family.config);
+          ScheduleResult result = DwtOptimalScheduler(ref).Run(budget, cancel);
+          if (result.feasible) {
+            // Rename the reference schedule back onto our node ids
+            // through the inverse of the verified isomorphism.
+            std::vector<NodeId> from_reference(graph_.num_nodes(),
+                                               kInvalidNode);
+            for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
+              from_reference[family.to_reference[v]] = v;
             }
-            return result;
-          };
-        } else {
-          // chain / kary: the in-tree DP runs on the graph directly.
-          recog.engine = [this, budget](const CancelToken*) {
-            return KaryTreeScheduler(graph_).Run(budget);
-          };
-        }
+            std::vector<Move> moves = result.schedule.moves();
+            for (Move& move : moves) move.node = from_reference[move.node];
+            result.schedule = Schedule(std::move(moves));
+          }
+          return result;
+        };
+      } else {
+        // chain / kary: the in-tree DP runs on the graph directly.
+        recog.engine = [this, budget](const CancelToken*) {
+          return KaryTreeScheduler(graph_).Run(budget);
+        };
       }
     }
     stages.push_back(std::move(recog));

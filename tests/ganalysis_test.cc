@@ -3,45 +3,124 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 #include <numeric>
-#include <random>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/analysis.h"
 #include "core/graph_builder.h"
 #include "core/serialize.h"
+#include "dataflows/builtin_spec.h"
 #include "dataflows/dwt_graph.h"
+#include "dataflows/random_dag.h"
 #include "dataflows/tree_graph.h"
 #include "ganalysis/canonical.h"
 #include "ganalysis/ganalysis.h"
 #include "ganalysis/recognition.h"
 #include "tests/test_helpers.h"
+#include "util/rng.h"
 
 namespace wrbpg {
+
+namespace canonical_detail {
+// Defined in canonical.cc: the stable coloring with vertex `v` split off
+// after the first refinement and refined again incrementally.
+ColorRefinement RefineIndividualized(const Graph& graph, NodeId v);
+}  // namespace canonical_detail
+
 namespace {
 
-// Rebuilds `graph` with node ids permuted by `perm` (old id -> new id).
-Graph Permute(const Graph& graph, const std::vector<NodeId>& perm) {
-  const NodeId n = graph.num_nodes();
-  std::vector<NodeId> inverse(n);
-  for (NodeId v = 0; v < n; ++v) inverse[perm[v]] = v;
-  GraphBuilder b;
-  for (NodeId v = 0; v < n; ++v) b.AddNode(graph.weight(inverse[v]));
-  for (NodeId v = 0; v < n; ++v) {
-    for (const NodeId c : graph.children(v)) {
-      b.AddEdge(perm[v], perm[c]);
-    }
+// The 1-WL rank iteration the worklist refiner replaced, kept as a naive
+// reference: seed by (weight, in-degree, out-degree), then re-rank every
+// vertex by (color, sorted parent colors, sorted child colors) until the
+// number of colors stops changing.
+using Signature = std::vector<std::uint64_t>;
+
+// Colors the vertices by the rank of their signature; returns the number
+// of distinct signatures.
+std::uint32_t RankBy(const std::vector<Signature>& sigs,
+                     std::vector<std::uint32_t>& colors) {
+  std::vector<NodeId> order(sigs.size());
+  std::iota(order.begin(), order.end(), NodeId{0});
+  std::sort(order.begin(), order.end(),
+            [&](NodeId a, NodeId b) { return sigs[a] < sigs[b]; });
+  std::uint32_t rank = 0;
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    if (i > 0 && sigs[order[i]] != sigs[order[i - 1]]) ++rank;
+    colors[order[i]] = rank;
   }
-  return b.BuildOrDie();
+  return order.empty() ? 0 : rank + 1;
 }
 
-std::vector<NodeId> RandomPermutation(NodeId n, std::uint32_t seed) {
-  std::vector<NodeId> perm(n);
-  std::iota(perm.begin(), perm.end(), NodeId{0});
-  std::mt19937 rng(seed);
-  std::shuffle(perm.begin(), perm.end(), rng);
-  return perm;
+// Re-ranks until the number of colors stops changing; returns it.
+std::uint32_t NaiveRefineToStable(const Graph& g,
+                                  std::vector<std::uint32_t>& colors,
+                                  std::uint32_t num_colors) {
+  std::vector<Signature> sigs(g.num_nodes());
+  for (;;) {
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      Signature& sig = sigs[v];
+      sig = {colors[v], g.in_degree(v)};
+      for (const NodeId p : g.parents(v)) sig.push_back(colors[p]);
+      std::sort(sig.begin() + 2, sig.end());
+      sig.push_back(g.out_degree(v));
+      const auto children_begin = static_cast<std::ptrdiff_t>(sig.size());
+      for (const NodeId c : g.children(v)) sig.push_back(colors[c]);
+      std::sort(sig.begin() + children_begin, sig.end());
+    }
+    const std::uint32_t next = RankBy(sigs, colors);
+    if (next == num_colors) return next;
+    num_colors = next;
+  }
+}
+
+// Naive stable coloring, optionally with `v` given a fresh color after
+// the first refinement and everything re-refined from scratch.
+ColorRefinement NaiveRefineColors(const Graph& g,
+                                  std::optional<NodeId> v = {}) {
+  std::vector<Signature> seed(g.num_nodes());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    seed[u] = {static_cast<std::uint64_t>(g.weight(u)), g.in_degree(u),
+               g.out_degree(u)};
+  }
+  ColorRefinement r;
+  r.colors.resize(g.num_nodes());
+  r.num_colors = NaiveRefineToStable(g, r.colors, RankBy(seed, r.colors));
+  if (v) {
+    r.colors[*v] = r.num_colors;
+    r.num_colors = NaiveRefineToStable(g, r.colors, r.num_colors + 1);
+  }
+  return r;
+}
+
+// True when the two colorings induce the same set partition of V.
+bool SamePartition(const ColorRefinement& a, const ColorRefinement& b) {
+  if (a.colors.size() != b.colors.size() || a.num_colors != b.num_colors) {
+    return false;
+  }
+  std::vector<std::uint32_t> a_to_b(a.num_colors, UINT32_MAX);
+  std::vector<std::uint32_t> b_to_a(b.num_colors, UINT32_MAX);
+  for (std::size_t v = 0; v < a.colors.size(); ++v) {
+    const std::uint32_t ca = a.colors[v];
+    const std::uint32_t cb = b.colors[v];
+    if (a_to_b[ca] == UINT32_MAX && b_to_a[cb] == UINT32_MAX) {
+      a_to_b[ca] = cb;
+      b_to_a[cb] = ca;
+    } else if (a_to_b[ca] != cb || b_to_a[cb] != ca) {
+      return false;
+    }
+  }
+  return true;
+}
+
+Graph BuiltinOrDie(const std::string& spec) {
+  BuiltinGraph built = BuildBuiltinGraph(spec);
+  EXPECT_TRUE(built.ok) << spec << ": " << built.error;
+  return built.graph();
 }
 
 TEST(Canonical, HashIsInvariantUnderRandomPermutation) {
@@ -54,8 +133,7 @@ TEST(Canonical, HashIsInvariantUnderRandomPermutation) {
   for (const Graph& g : corpus) {
     const GraphHash original = HashGraph(g);
     for (std::uint32_t seed = 1; seed <= 5; ++seed) {
-      const Graph shuffled =
-          Permute(g, RandomPermutation(g.num_nodes(), seed));
+      const Graph shuffled = testing::PermuteGraph(g, seed);
       EXPECT_EQ(HashGraph(shuffled), original) << "seed " << seed;
       EXPECT_EQ(RefineColors(shuffled).num_colors,
                 RefineColors(g).num_colors);
@@ -102,7 +180,7 @@ TEST(Canonical, AsymmetricGraphHasSingletonOrbits) {
 
 TEST(Canonical, FindIsomorphismRoundTripsThroughPermutation) {
   const Graph g = BuildDwt(8, 2).graph;
-  const Graph h = Permute(g, RandomPermutation(g.num_nodes(), 0xfeedu));
+  const Graph h = testing::PermuteGraph(g, 0xfeedu);
   const auto map = FindIsomorphism(g, h);
   ASSERT_TRUE(map.has_value());
   EXPECT_TRUE(IsIsomorphismMap(g, h, *map));
@@ -110,6 +188,81 @@ TEST(Canonical, FindIsomorphismRoundTripsThroughPermutation) {
   EXPECT_FALSE(
       FindIsomorphism(testing::MakeChain(5), testing::MakeDiamond())
           .has_value());
+}
+
+// The worklist refiner computes the same set partition as the naive 1-WL
+// rank iteration — both reach the coarsest equitable refinement of the
+// seed — on the family corpus and on random DAGs, half of them with
+// uniform weights so the structure alone must split the cells. Every
+// vertex of the smaller graphs is also individualized, which exercises
+// the incremental path: only the new singleton is queued.
+TEST(Canonical, RefineColorsMatchesNaiveOneWl) {
+  std::vector<std::pair<std::string, Graph>> corpus;
+  for (const char* spec :
+       {"dwt:8,2", "dwt:16,2", "dwt:16,4", "dwt:32,3", "kary:2,4",
+        "kary:3,3", "kary:4,2", "butterfly:8", "butterfly:16", "mvm:3,3",
+        "mvm:4,4", "mvm:2,5"}) {
+    corpus.emplace_back(spec, BuiltinOrDie(spec));
+  }
+  corpus.emplace_back("chain:9", testing::MakeChain(9));
+  corpus.emplace_back("diamond", testing::MakeDiamond({3, 5, 7, 11, 13}));
+  // Wide, shallow DAGs are in the mix on purpose: they are where a wrong
+  // worklist rule (dropping a fragment of a still-queued cell) leaves the
+  // partition short of equitable.
+  for (std::uint64_t seed = 1; seed <= 96; ++seed) {
+    Rng rng(0xc0105u + seed);
+    RandomDagOptions options;
+    options.num_layers = 2 + static_cast<int>(seed % 5);
+    options.nodes_per_layer = 2 + static_cast<int>((seed * 5) % 13);
+    options.max_in_degree = 1 + static_cast<int>(seed % 3);
+    if (seed % 2 == 0) options.min_weight = options.max_weight = 4;
+    corpus.emplace_back("random seed " + std::to_string(seed),
+                        BuildRandomDag(rng, options));
+  }
+  for (const auto& [name, g] : corpus) {
+    const ColorRefinement refined = RefineColors(g);
+    const ColorRefinement naive = NaiveRefineColors(g);
+    EXPECT_EQ(refined.num_colors, naive.num_colors) << name;
+    EXPECT_TRUE(SamePartition(refined, naive)) << name;
+    if (g.num_nodes() > 48) continue;
+    for (NodeId v = 0; v < g.num_nodes(); ++v) {
+      EXPECT_TRUE(SamePartition(canonical_detail::RefineIndividualized(g, v),
+                                NaiveRefineColors(g, v)))
+          << name << " individualized " << v;
+    }
+  }
+}
+
+// Benchmark-scale instances (the serve and deadline workloads' shapes)
+// keep every contract under relabeling: the hash is invariant, the
+// verified isomorphism is found, and a bare permuted DWT is recognized.
+TEST(Canonical, BenchmarkScaleGraphsSurvivePermutation) {
+  for (const char* spec : {"dwt:256,8", "kary:3,5", "butterfly:64",
+                           "mvm:8,8", "random:12,16,7"}) {
+    const Graph g = BuiltinOrDie(spec);
+    const GraphHash hash = HashGraph(g);
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const Graph permuted = testing::PermuteGraph(g, seed);
+      EXPECT_EQ(HashGraph(permuted), hash) << spec << " seed " << seed;
+      const auto map = FindIsomorphism(g, permuted);
+      ASSERT_TRUE(map.has_value()) << spec << " seed " << seed;
+      EXPECT_TRUE(IsIsomorphismMap(g, permuted, *map));
+      if (std::string(spec) == "dwt:256,8") {
+        EXPECT_EQ(RecognizeFamily(permuted).label, "dwt:256,8");
+      }
+    }
+  }
+}
+
+// Verified orbit counts, pinned to the values the rank-iteration refiner
+// produced, so a change to the refiner cannot quietly merge or split
+// orbits.
+TEST(Canonical, VerifiedOrbitCountsArePinned) {
+  const std::vector<std::pair<const char*, std::size_t>> expected = {
+      {"butterfly:16", 5}, {"dwt:16,2", 4}, {"mvm:4,4", 12}, {"kary:3,3", 4}};
+  for (const auto& [spec, orbits] : expected) {
+    EXPECT_EQ(ComputeOrbits(BuiltinOrDie(spec)).num_orbits, orbits) << spec;
+  }
 }
 
 TEST(Recognition, IdentifiesChainKaryAndSerializedDwt) {

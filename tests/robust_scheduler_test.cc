@@ -8,13 +8,15 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 
 #include "core/analysis.h"
 #include "core/simulator.h"
 #include "dataflows/dwt_graph.h"
 #include "dataflows/random_dag.h"
-#include "robust/robust_scheduler.h"
 #include "dataflows/tree_graph.h"
+#include "obs/span.h"
+#include "robust/robust_scheduler.h"
 #include "schedulers/brute_force.h"
 #include "schedulers/dwt_optimal.h"
 #include "schedulers/kary_tree.h"
@@ -247,6 +249,49 @@ TEST(RobustScheduler, RecognitionStageWinsOnUnlabeledDwtGraph) {
   EXPECT_EQ(r.result.cost, DwtOptimalScheduler(dwt).CostOnly(budget));
   EXPECT_EQ(r.result.termination, Termination::kOptimal);
   testing::ExpectValid(g, budget, r.result.schedule);
+}
+
+// A bare, relabeled dwt(1024,10) under a 500 ms deadline: the pre-stage
+// (certificates, start bound, recognition) runs outside the deadline, so
+// it must stay cheap enough for the recognized DWT's DP to finish inside
+// the deadline and win with the proven optimum.
+TEST(RobustScheduler, RecognitionWinsOnLargePermutedDwtUnderDeadline) {
+  const DwtGraph dwt = BuildDwt(1024, 10);
+  const Graph bare = testing::PermuteGraph(dwt.graph, 0x5eedu);
+  const Weight budget = 96;
+  RobustOptions options;
+  options.deadline_ms = 500;
+  options.threads = 1;
+  const RobustResult r = RobustScheduler(bare).Run(budget, options);
+  ASSERT_TRUE(r.result.feasible);
+  EXPECT_EQ(r.winner, "recognition");
+  EXPECT_EQ(r.result.termination, Termination::kOptimal);
+  EXPECT_EQ(r.result.cost, DwtOptimalScheduler(dwt).CostOnly(budget));
+  EXPECT_EQ(r.result.cost, 34784);
+  testing::ExpectValid(bare, budget, r.result.schedule);
+}
+
+// The pre-stage has one span, with a child per piece of work, under the
+// chain's robust.run span.
+TEST(RobustScheduler, PreStageWorkHasSpansUnderRobustRun) {
+  const Graph g = BuildPerfectTree(2, 4).graph;
+  (void)RobustScheduler(g).Run(MinValidBudget(g));
+  auto child = [](const obs::SpanNode& node, const std::string& name) {
+    for (const obs::SpanNode& c : node.children) {
+      if (c.name == name) return c;
+    }
+    ADD_FAILURE() << "span '" << name << "' not found under '" << node.name
+                  << "'";
+    return obs::SpanNode{};
+  };
+  const obs::SpanNode prestage =
+      child(child(obs::SnapshotSpans(), "robust.run"), "robust.prestage");
+  EXPECT_GE(prestage.count, 1u);
+  for (const char* name :
+       {"robust.prestage.certified_bound", "robust.prestage.start_bound",
+        "robust.prestage.recognize"}) {
+    EXPECT_GE(child(prestage, name).count, 1u) << name;
+  }
 }
 
 // When the caller hands over the DwtGraph wrapper, recognition defers to

@@ -1,10 +1,7 @@
 // ScheduleService (src/service/): cache determinism across threads and
 // state representation, single-flight dedup, isomorph hits, byte-budget
 // eviction, batch dispatch, and the deadline admission policy.
-#include <algorithm>
 #include <cstdint>
-#include <numeric>
-#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -18,6 +15,7 @@
 #include "core/simulator.h"
 #include "dataflows/builtin_spec.h"
 #include "service/service.h"
+#include "tests/test_helpers.h"
 
 namespace wrbpg {
 namespace {
@@ -26,26 +24,6 @@ Graph BuiltinOrDie(const std::string& spec) {
   BuiltinGraph built = BuildBuiltinGraph(spec);
   EXPECT_TRUE(built.ok) << spec << ": " << built.error;
   return built.graph();
-}
-
-Graph PermuteGraph(const Graph& graph, std::uint64_t seed) {
-  const NodeId n = graph.num_nodes();
-  std::vector<NodeId> perm(n);
-  std::iota(perm.begin(), perm.end(), NodeId{0});
-  std::mt19937_64 rng(seed);
-  std::shuffle(perm.begin(), perm.end(), rng);
-  std::vector<NodeId> inv(n);
-  for (NodeId v = 0; v < n; ++v) inv[perm[v]] = v;
-  GraphBuilder builder;
-  for (NodeId j = 0; j < n; ++j) {
-    builder.AddNode(graph.weight(inv[j]), graph.name(inv[j]));
-  }
-  for (NodeId v = 0; v < n; ++v) {
-    for (const NodeId c : graph.children(v)) {
-      builder.AddEdge(perm[v], perm[c]);
-    }
-  }
-  return builder.BuildOrDie();
 }
 
 // A cache hit must be bit-identical to a cold solve, and the cold solve
@@ -125,7 +103,7 @@ TEST(ScheduleService, SingleFlightCollapsesConcurrentIdenticalRequests) {
 
 TEST(ScheduleService, ServesPermutedIsomorphsFromCache) {
   const Graph graph = BuiltinOrDie("random:3,4,9");
-  const Graph permuted = PermuteGraph(graph, 0xabcd);
+  const Graph permuted = testing::PermuteGraph(graph, 0xabcd);
   const Weight budget = MinValidBudget(graph) + 8;
   ScheduleService service;
 
@@ -164,7 +142,7 @@ TEST(ScheduleService, ServesPermutedIsomorphsFromCache) {
 
 TEST(ScheduleService, DeriveKeyIsIsoInvariant) {
   const Graph graph = BuiltinOrDie("random:3,4,9");
-  const Graph permuted = PermuteGraph(graph, 0x1234);
+  const Graph permuted = testing::PermuteGraph(graph, 0x1234);
   EXPECT_EQ(ScheduleService::DeriveKey(graph, 64),
             ScheduleService::DeriveKey(permuted, 64));
   EXPECT_NE(ScheduleService::DeriveKey(graph, 64),

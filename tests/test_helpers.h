@@ -11,6 +11,7 @@
 #include "core/schedule.h"
 #include "core/simulator.h"
 #include "core/types.h"
+#include "tests/permute_graph.h"
 
 namespace wrbpg::testing {
 

@@ -35,6 +35,16 @@ key (instance, threads), deterministic fields points / frontier_size /
 frontier_hash / identical, and relative mode normalizing by the same
 document's threads=1 row per instance.
 
+canonical-scaling documents (bench_scheduler_perf --canonical-scaling)
+need no baseline: pass `-` in its place and one document (the bench
+already keeps the fastest of five rounds per row). The gate fails when a
+row's relabeled graph was not matched to its reference (found), changed
+hash (hash_invariant) or was not recognized, and when a family's time
+grows by more than MAX_GROWTH (3x) per doubling of the node count from
+its smallest row to its largest. Gating the whole span rather than each
+consecutive pair keeps one cache-size step from failing the build while
+still catching quadratic refinement, which grows about 4x per doubling.
+
 Several current documents may be given (repeated runs of the same bench
 invocation); each row's wall-clock is then the MINIMUM across the runs.
 Minimum-of-N is the standard answer to scheduler jitter: noise only ever
@@ -46,6 +56,7 @@ and the identical flag must agree across all runs (they are deterministic
 Usage:
   tools/bench_diff.py BASELINE.json CURRENT.json [CURRENT2.json ...]
                       [--threshold 0.15] [--absolute] [--min-ms 1.0]
+  tools/bench_diff.py - CANONICAL.json
 
 Re-seeding a baseline uses the same reduction: pass `-` as the baseline
 and --merge-out to write the min-merged document without comparing:
@@ -57,6 +68,10 @@ import argparse
 import json
 import math
 import sys
+
+# canonical-scaling: the largest allowed factor of wall-clock growth per
+# doubling of the node count (near-linear refinement grows about 2x).
+MAX_GROWTH = 3.0
 
 
 def load(path):
@@ -274,6 +289,42 @@ def diff_anytime(base, cur):
     return failures
 
 
+def diff_canonical_scaling(cur):
+    """Self-gated: correctness flags per row, then each family's growth
+    per node doubling from its smallest row to its largest."""
+    failures = []
+    families = {}
+    for row in cur["rows"]:
+        for flag, what in (("found", "not matched to its reference"),
+                           ("recognized", "not recognized"),
+                           ("hash_invariant", "hash changed under "
+                                              "relabeling")):
+            if not row.get(flag, False):
+                failures.append(f"{row['instance']}: {what}")
+        families.setdefault(row["family"], []).append(row)
+
+    print(f"{'family':<8} {'from':>14} {'to':>14} {'ms':>18} "
+          f"{'growth':>7}  verdict")
+    for family, rows in sorted(families.items()):
+        rows.sort(key=lambda r: r["nodes"])
+        first, last = rows[0], rows[-1]
+        if len(rows) < 2 or first["time_ms"] <= 0:
+            failures.append(f"{family}: fewer than two timed rows")
+            continue
+        doublings = math.log2(last["nodes"] / first["nodes"])
+        growth = (last["time_ms"] / first["time_ms"]) ** (1 / doublings)
+        verdict = "ok"
+        if growth > MAX_GROWTH:
+            verdict = "SUPERLINEAR"
+            failures.append(
+                f"{first['instance']} -> {last['instance']}: {growth:.2f}x "
+                f"per node doubling (limit {MAX_GROWTH:g}x)")
+        times = f"{first['time_ms']:.3f} -> {last['time_ms']:.3f}"
+        print(f"{family:<8} {first['instance']:>14} {last['instance']:>14} "
+              f"{times:>18} {growth:>6.2f}x  {verdict}")
+    return failures
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline")
@@ -318,8 +369,14 @@ def main():
         if args.baseline == "-":
             return 0
 
-    base = load(args.baseline)
     curs = [load(path) for path in args.current]
+    if args.baseline == "-":
+        if len(curs) != 1 or curs[0].get("tool") != "canonical-scaling":
+            sys.exit("a '-' baseline gates exactly one canonical-scaling "
+                     "document (or seeds a baseline with --merge-out)")
+        return report(diff_canonical_scaling(curs[0]))
+
+    base = load(args.baseline)
     tool = base.get("tool")
     for path, cur in zip(args.current, curs):
         if cur.get("tool") != tool:
@@ -346,8 +403,12 @@ def main():
         failures = diff_anytime(base, curs[0])
     else:
         sys.exit(f"unsupported tool {tool!r} (expected engine-compare, "
-                 "explore, or anytime-sweep)")
+                 "explore, or anytime-sweep; canonical-scaling takes '-' "
+                 "as its baseline)")
+    return report(failures)
 
+
+def report(failures):
     if failures:
         print(f"\nbench_diff: {len(failures)} failure(s):", file=sys.stderr)
         for f in failures:
