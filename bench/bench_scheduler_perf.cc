@@ -51,9 +51,13 @@
 // bare kary(2,k) and dwt(2^k,k) graphs for k = 8..14 (kary(2,14) has
 // 2^15-1 nodes, dwt(2^14,14) 49,150). Each time is the fastest of five
 // in-process rounds; each row also records whether the relabeled graph was
-// matched to its reference, kept its hash, and was recognized. JSON to
-// BENCH_canonical.json; tools/bench_diff.py is the gate (those flags, and
-// each family's growth per doubling of the node count).
+// matched to its reference, kept its hash, and was recognized. The same
+// rounds time Simulate() on each bare graph, replaying a Belady schedule at
+// MinValidBudget + 16 that is built before timing starts, and record
+// whether the simulator accepted it. JSON to BENCH_canonical.json;
+// tools/bench_diff.py is the gate (those flags, and each family's growth
+// per doubling of the node count, for the canonical layer and for
+// Simulate() separately).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -78,6 +82,7 @@
 #include "ganalysis/canonical.h"
 #include "ganalysis/recognition.h"
 #include "obs/report.h"
+#include "schedulers/belady.h"
 #include "schedulers/brute_force.h"
 #include "schedulers/dwt_optimal.h"
 #include "schedulers/kary_tree.h"
@@ -869,9 +874,12 @@ int RunCanonicalScaling(const CliArgs& args) {
     std::string label;
     Graph reference;
     Graph bare;
+    Weight budget = 0;
+    Schedule schedule;
     double hash_ms = 1e300, iso_ms = 1e300, recog_ms = 1e300;
-    double total_ms = 1e300;
+    double total_ms = 1e300, simulate_ms = 1e300;
     bool found = true, recognized = true, hash_invariant = true;
+    bool valid = true;
   };
   std::vector<Row> rows;
   for (const std::string family : {"kary", "dwt"}) {
@@ -887,6 +895,8 @@ int RunCanonicalScaling(const CliArgs& args) {
                                        : BuildDwt(n, k).graph;
       row.bare = testing::PermuteGraph(
           row.reference, 0xca11u + static_cast<std::uint64_t>(k));
+      row.budget = MinValidBudget(row.bare) + 16;
+      row.schedule = BeladyScheduler(row.bare).Run(row.budget).schedule;
       rows.push_back(std::move(row));
     }
   }
@@ -904,6 +914,10 @@ int RunCanonicalScaling(const CliArgs& args) {
       start = SweepClock::now();
       const RecognitionResult recognition = RecognizeFamily(row.bare);
       const double g = ElapsedMs(start);
+      start = SweepClock::now();
+      const SimResult sim = Simulate(row.bare, row.budget, row.schedule);
+      row.simulate_ms = std::min(row.simulate_ms, ElapsedMs(start));
+      row.valid = row.valid && sim.valid;
       row.hash_ms = std::min(row.hash_ms, h);
       row.iso_ms = std::min(row.iso_ms, i);
       row.recog_ms = std::min(row.recog_ms, g);
@@ -919,7 +933,9 @@ int RunCanonicalScaling(const CliArgs& args) {
             << std::setw(8) << "nodes" << std::setw(10) << "hash_ms"
             << std::setw(10) << "iso_ms" << std::setw(10) << "recog_ms"
             << std::setw(10) << "total_ms" << std::setw(7) << "found"
-            << std::setw(7) << "recog" << std::setw(7) << "hash=" << "\n";
+            << std::setw(7) << "recog" << std::setw(7) << "hash="
+            << std::setw(9) << "moves" << std::setw(8) << "sim_ms"
+            << std::setw(7) << "valid" << "\n";
   obs::Json json_rows = obs::Json::Array();
   for (const Row& row : rows) {
     auto yes_no = [](bool b) { return b ? "yes" : "NO"; };
@@ -930,7 +946,9 @@ int RunCanonicalScaling(const CliArgs& args) {
               << row.recog_ms << std::setw(10) << row.total_ms
               << std::setw(7) << yes_no(row.found) << std::setw(7)
               << yes_no(row.recognized) << std::setw(7)
-              << yes_no(row.hash_invariant) << "\n";
+              << yes_no(row.hash_invariant) << std::setw(9)
+              << row.schedule.size() << std::setw(8) << row.simulate_ms
+              << std::setw(7) << yes_no(row.valid) << "\n";
 
     obs::Json json_row = obs::Json::Object();
     json_row.Set("instance", row.label);
@@ -946,6 +964,9 @@ int RunCanonicalScaling(const CliArgs& args) {
     json_row.Set("found", row.found);
     json_row.Set("recognized", row.recognized);
     json_row.Set("hash_invariant", row.hash_invariant);
+    json_row.Set("moves", row.schedule.size());
+    json_row.Set("simulate_ms", row.simulate_ms);
+    json_row.Set("valid", row.valid);
     json_rows.Push(std::move(json_row));
   }
 

@@ -28,8 +28,8 @@
 //   wrbpg_cli lint <graph> [<schedule.txt> --budget <bits>]
 //                  [--json] [--fix]
 //       static analysis without running the simulator: with only a graph,
-//       the graph-level rules; with a schedule, the full pass (validity
-//       errors mirroring the simulator's taxonomy, plus wasted-I/O
+//       the graph-level rules; with a schedule, the full pass (every
+//       violation of the simulator's rules kernel, plus wasted-I/O
 //       warnings with machine-readable fix-its). --fix applies the safe
 //       fix-its (re-verified, cost never increases) and prints the fixed
 //       schedule on stdout with diagnostics on stderr. Exits 1 when any

@@ -1,5 +1,5 @@
-// Word-span move-legality masks shared by the exact-search hot path and
-// the simulator (DESIGN.md §14).
+// Word-span move-legality masks of the exact search and StateBound
+// (DESIGN.md §14.3).
 //
 // Every WRBPG move predicate is a set operation over the (red, blue)
 // configuration and a per-graph constant: the loadable set is
@@ -10,6 +10,10 @@
 // predicates become word-parallel AND/ANDNOT ops plus ctz iteration —
 // no per-node branching. One instance serves graphs of any width; the
 // packed (≤32-node) representation reads word 0 and truncates.
+//
+// The parent masks are a dense n x ceil(n/64)-word matrix (18.9 MB at
+// 12,286 nodes), worth building once per search but not once per replay:
+// schedule replay (core/rules.h) tests M3 over the CSR parents instead.
 //
 // Built once per Graph, read-only afterwards: safe to share across
 // threads.
@@ -28,7 +32,7 @@ namespace wrbpg {
 class GraphMasks {
  public:
   // `with_children` additionally builds per-node child masks (used by the
-  // heuristic's M4 delta test; the simulator does not need them).
+  // heuristic's M4 delta test; the searchers do not need them).
   explicit GraphMasks(const Graph& graph, bool with_children = false)
       : words_((static_cast<std::size_t>(graph.num_nodes()) + 63) / 64) {
     if (words_ == 0) words_ = 1;
@@ -49,7 +53,6 @@ class GraphMasks {
     }
   }
 
-  std::size_t words() const { return words_; }
   const std::uint64_t* sources() const { return sources_.data(); }
   const std::uint64_t* sinks() const { return sinks_.data(); }
   // All valid node ids set: masks out the unused high bits of the last word.
@@ -57,7 +60,6 @@ class GraphMasks {
   const std::uint64_t* parents_of(NodeId v) const {
     return &parents_[words_ * v];
   }
-  bool has_children() const { return !children_.empty(); }
   const std::uint64_t* children_of(NodeId v) const {
     return &children_[words_ * v];
   }
@@ -91,14 +93,6 @@ class GraphMasks {
   static bool AnySet(const std::uint64_t* mask, std::size_t words) {
     for (std::size_t w = 0; w < words; ++w) {
       if (mask[w] != 0) return true;
-    }
-    return false;
-  }
-
-  static bool AnyIntersect(const std::uint64_t* a, const std::uint64_t* b,
-                           std::size_t words) {
-    for (std::size_t w = 0; w < words; ++w) {
-      if ((a[w] & b[w]) != 0) return true;
     }
     return false;
   }

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstdint>
 
-#include "core/graph_masks.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 
@@ -51,243 +49,81 @@ void RecordSimMetrics(const SimResult& result, std::size_t moves_applied) {
       std::max<Weight>(result.peak_red_weight, 0)));
 }
 
-std::string NodeStr(NodeId v) {
-  std::string s = "v";
-  s += std::to_string(v);
-  return s;
-}
-
-// True when the diagnostic describes a specific move (and should carry
-// the "M1(v3): " prefix), as opposed to a whole-schedule condition.
-bool IsPerMoveError(SimErrorCode code) {
-  switch (code) {
-    case SimErrorCode::kNone:
-    case SimErrorCode::kInitialRedOverBudget:
-    case SimErrorCode::kStopConditionUnmet:
-    case SimErrorCode::kReuseConditionUnmet:
-      return false;
-    default:
-      return true;
-  }
-}
-
 }  // namespace
-
-const char* ToString(SimErrorCode code) {
-  switch (code) {
-    case SimErrorCode::kNone: return "none";
-    case SimErrorCode::kNodeOutOfRange: return "node-out-of-range";
-    case SimErrorCode::kLoadNoBlue: return "load-no-blue";
-    case SimErrorCode::kLoadAlreadyRed: return "load-already-red";
-    case SimErrorCode::kStoreNoRed: return "store-no-red";
-    case SimErrorCode::kStoreAlreadyBlue: return "store-already-blue";
-    case SimErrorCode::kComputeSource: return "compute-source";
-    case SimErrorCode::kComputeAlreadyRed: return "compute-already-red";
-    case SimErrorCode::kComputeParentNotRed: return "compute-parent-not-red";
-    case SimErrorCode::kDeleteNoRed: return "delete-no-red";
-    case SimErrorCode::kBudgetExceeded: return "budget-exceeded";
-    case SimErrorCode::kInitialRedOverBudget: return "initial-red-over-budget";
-    case SimErrorCode::kStopConditionUnmet: return "stop-condition-unmet";
-    case SimErrorCode::kReuseConditionUnmet: return "reuse-condition-unmet";
-  }
-  return "unknown";
-}
-
-std::optional<SimErrorCode> SimErrorCodeFromString(std::string_view name) {
-  for (const SimErrorCode code : kAllSimErrorCodes) {
-    if (name == ToString(code)) return code;
-  }
-  return std::nullopt;
-}
 
 SimResult Simulate(const Graph& graph, Weight budget, const Schedule& schedule,
                    const SimOptions& options, const SimObserver& observer) {
   const obs::ScopedSpan span("simulate");
   SimResult result;
-  const NodeId n = graph.num_nodes();
+  PebbleState state(graph);
 
-  // Word-span (red, blue) masks with the same layout the exact search
-  // and the heuristic use (core/graph_masks.h): node v lives in word
-  // v/64, bit v%64. Every per-move legality test below is one masked
-  // word read; the M3 parent check is a word-parallel subset test.
-  const GraphMasks masks(graph);
-  const std::size_t words = masks.words();
-  std::vector<std::uint64_t> red(words, 0);
-  std::vector<std::uint64_t> blue(masks.sources(),
-                                  masks.sources() + words);
-  for (NodeId v : options.initial_blue) {
-    if (v < n) blue[v / 64] |= 1ull << (v % 64);
-  }
-  const auto test = [](const std::vector<std::uint64_t>& m, NodeId v) {
-    return ((m[v / 64] >> (v % 64)) & 1) != 0;
-  };
-
-  Weight red_weight = 0;
-
-  // The single cold path: every diagnostic message is composed here, so
-  // the per-move switch below stays string-free on valid schedules.
-  auto fail = [&](std::size_t index, SimErrorCode code, NodeId node) {
+  // The single cold path: the diagnostic is composed only on failure, so
+  // the per-move loop below stays string-free on valid schedules.
+  auto fail = [&](std::size_t index, RuleViolation violation,
+                  const Move* move) {
     result.valid = false;
     result.error_index = index;
-    result.code = code;
-    result.error_node = node;
-    std::string message;
-    if (IsPerMoveError(code) && index < schedule.size()) {
-      message = ToString(schedule[index]) + ": ";
-    }
-    switch (code) {
-      case SimErrorCode::kNone:
-        break;
-      case SimErrorCode::kNodeOutOfRange:
-        message += "node out of range";
-        break;
-      case SimErrorCode::kLoadNoBlue:
-        message += "no blue pebble to copy from";
-        break;
-      case SimErrorCode::kLoadAlreadyRed:
-      case SimErrorCode::kComputeAlreadyRed:
-        message += "node already holds a red pebble";
-        break;
-      case SimErrorCode::kStoreNoRed:
-        message += "no red pebble to copy from";
-        break;
-      case SimErrorCode::kStoreAlreadyBlue:
-        message += "node already holds a blue pebble";
-        break;
-      case SimErrorCode::kComputeSource:
-        message +=
-            "source nodes are inputs and cannot be computed; use M1";
-        break;
-      case SimErrorCode::kComputeParentNotRed:
-        message += "parent " + NodeStr(node) + " holds no red pebble";
-        break;
-      case SimErrorCode::kDeleteNoRed:
-        message += "no red pebble to delete";
-        break;
-      case SimErrorCode::kBudgetExceeded:
-        message += "weighted red pebble constraint violated (" +
-                   std::to_string(red_weight) + " > budget " +
-                   std::to_string(budget) + ")";
-        break;
-      case SimErrorCode::kInitialRedOverBudget:
-        message += "initial red pebbles already exceed the budget";
-        break;
-      case SimErrorCode::kStopConditionUnmet:
-        message += "stopping condition unmet: some sink holds no blue pebble";
-        break;
-      case SimErrorCode::kReuseConditionUnmet:
-        message += "reuse condition unmet: " + NodeStr(node) +
-                   " holds no red pebble at the end";
-        break;
-    }
-    result.error = std::move(message);
+    result.code = violation.code;
+    result.error_node = violation.node;
+    result.error =
+        DescribeViolation(violation, move, state.red_weight(), budget);
     RecordSimMetrics(result, std::min(index, schedule.size()));
     return result;
   };
 
-  for (NodeId v : options.initial_red) {
-    if (v < n && !test(red, v)) {
-      red[v / 64] |= 1ull << (v % 64);
-      red_weight += graph.weight(v);
-    }
+  // The Sec 4.1 memory-state games start with extra pebbles in place: an
+  // M2 places a blue pebble and an M1 a red one.
+  for (NodeId v : options.initial_blue) state.Apply(Store(v));
+  for (NodeId v : options.initial_red) state.Apply(Load(v));
+  if (state.red_weight() > budget) {
+    return fail(0, {SimErrorCode::kInitialRedOverBudget, kInvalidNode},
+                nullptr);
   }
-  if (red_weight > budget) {
-    return fail(0, SimErrorCode::kInitialRedOverBudget, kInvalidNode);
-  }
-  result.peak_red_weight = red_weight;
+  result.peak_red_weight = state.red_weight();
 
   for (std::size_t i = 0; i < schedule.size(); ++i) {
     const Move& m = schedule[i];
-    const NodeId v = m.node;
-    if (v >= n) {
-      return fail(i, SimErrorCode::kNodeOutOfRange, v);
-    }
-    const Weight w = graph.weight(v);
-    const std::size_t wd = v / 64;
-    const std::uint64_t bit = 1ull << (v % 64);
+    const RuleViolation violation = state.Check(m);
+    if (violation.code != SimErrorCode::kNone) return fail(i, violation, &m);
+    state.Apply(m);
     switch (m.type) {
-      case MoveType::kLoad:  // M1: blue -> both
-        if ((blue[wd] & bit) == 0) {
-          return fail(i, SimErrorCode::kLoadNoBlue, v);
-        }
-        if ((red[wd] & bit) != 0) {
-          return fail(i, SimErrorCode::kLoadAlreadyRed, v);
-        }
-        red[wd] |= bit;
-        red_weight += w;
-        result.cost += w;
+      case MoveType::kLoad:
+        result.cost += graph.weight(m.node);
         ++result.loads;
         break;
-      case MoveType::kStore:  // M2: red -> both
-        if ((red[wd] & bit) == 0) {
-          return fail(i, SimErrorCode::kStoreNoRed, v);
-        }
-        if ((blue[wd] & bit) != 0) {
-          return fail(i, SimErrorCode::kStoreAlreadyBlue, v);
-        }
-        blue[wd] |= bit;
-        result.cost += w;
+      case MoveType::kStore:
+        result.cost += graph.weight(m.node);
         ++result.stores;
         break;
-      case MoveType::kCompute: {  // M3: all parents red -> add red
-        if (masks.is_source(v)) {
-          return fail(i, SimErrorCode::kComputeSource, v);
-        }
-        if ((red[wd] & bit) != 0) {
-          return fail(i, SimErrorCode::kComputeAlreadyRed, v);
-        }
-        if (!masks.ParentsSubsetOf(v, red.data())) {
-          // Cold path: the diagnostic names the FIRST offending parent in
-          // CSR order — graph.parents(v) is sorted ascending, which is
-          // also ascending bit order, so a rescan preserves the contract.
-          for (NodeId p : graph.parents(v)) {
-            if (!test(red, p)) {
-              return fail(i, SimErrorCode::kComputeParentNotRed, p);
-            }
-          }
-        }
-        red[wd] |= bit;
-        red_weight += w;
+      case MoveType::kCompute:
         ++result.computes;
         break;
-      }
-      case MoveType::kDelete:  // M4: remove red
-        if ((red[wd] & bit) == 0) {
-          return fail(i, SimErrorCode::kDeleteNoRed, v);
-        }
-        red[wd] &= ~bit;
-        red_weight -= w;
+      case MoveType::kDelete:
         ++result.deletes;
         break;
     }
-    if (red_weight > budget) {
-      return fail(i, SimErrorCode::kBudgetExceeded, v);
+    if (state.red_weight() > budget) {
+      return fail(i, {SimErrorCode::kBudgetExceeded, m.node}, &m);
     }
-    result.peak_red_weight = std::max(result.peak_red_weight, red_weight);
-    if (observer) observer(i, m, red_weight);
+    result.peak_red_weight =
+        std::max(result.peak_red_weight, state.red_weight());
+    if (observer) observer(i, m, state.red_weight());
   }
 
-  // One pass over the sinks decides the stop condition and remembers the
-  // first offender for the diagnostic.
-  NodeId first_unmet_sink = kInvalidNode;
-  for (NodeId s : graph.sinks()) {
-    if (!test(blue, s)) {
-      first_unmet_sink = s;
-      break;
-    }
-  }
-  result.stop_condition_met = first_unmet_sink == kInvalidNode;
+  const std::vector<NodeId> unmet = state.UnmetSinks();
+  result.stop_condition_met = unmet.empty();
   if (options.require_stop_condition && !result.stop_condition_met) {
-    return fail(schedule.size(), SimErrorCode::kStopConditionUnmet,
-                first_unmet_sink);
+    return fail(schedule.size(),
+                {SimErrorCode::kStopConditionUnmet, unmet.front()}, nullptr);
   }
   for (NodeId v : options.required_red_at_end) {
-    if (v >= n || !test(red, v)) {
-      return fail(schedule.size(), SimErrorCode::kReuseConditionUnmet, v);
+    if (v >= graph.num_nodes() || !state.red(v)) {
+      return fail(schedule.size(), {SimErrorCode::kReuseConditionUnmet, v},
+                  nullptr);
     }
   }
 
-  result.final_red_weight = red_weight;
+  result.final_red_weight = state.red_weight();
   result.valid = true;
   RecordSimMetrics(result, schedule.size());
   return result;

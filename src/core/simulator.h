@@ -1,25 +1,24 @@
 // Reference simulator for the WRBPG: validates schedules and computes costs.
 //
 // Simulate() replays a move sequence from the starting condition (blue
-// pebbles on all of A(G)) and enforces, per move:
-//   * the move rules M1-M4 (Sec 2, Fig 1 label transitions),
-//   * the weighted red pebble constraint sum_{v in R(C_i)} w_v <= B
-//     (Definition 2.1) after every snapshot,
-// and, at the end, the stopping condition (blue pebbles on all of Z(G)).
-// The returned result carries the weighted schedule cost (Definition 2.2),
-// the peak resident red weight, and move-type counts.
+// pebbles on all of A(G)) through the rules kernel (core/rules.h): per move
+// it checks the preconditions of M1-M4, applies the move, and enforces the
+// weighted red pebble constraint sum_{v in R(C_i)} w_v <= B (Definition
+// 2.1); at the end it checks the stopping condition (blue pebbles on all of
+// Z(G)). It stops at the first violation. The returned result carries the
+// weighted schedule cost (Definition 2.2), the peak resident red weight,
+// and move-type counts.
 //
 // Every scheduler in this repository is tested by passing its output through
-// this simulator; it is the single source of truth for validity.
+// this simulator; validity itself is defined once, in core/rules.h.
 #pragma once
 
 #include <functional>
-#include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/graph.h"
+#include "core/rules.h"
 #include "core/schedule.h"
 #include "core/types.h"
 
@@ -36,56 +35,6 @@ struct SimOptions {
   // Nodes that must hold red pebbles after the last move (reuse sets).
   std::vector<NodeId> required_red_at_end = {};
 };
-
-// Typed taxonomy of rule violations, one code per simulator failure mode.
-// Machine-readable counterpart of SimResult::error; the repairer in
-// src/robust/ dispatches on it, and tests pin it exactly.
-enum class SimErrorCode : std::uint8_t {
-  kNone = 0,                 // valid schedule
-  kNodeOutOfRange,           // move names a node >= num_nodes()
-  kLoadNoBlue,               // M1 with no blue pebble to copy from
-  kLoadAlreadyRed,           // M1 onto a node already red
-  kStoreNoRed,               // M2 with no red pebble to copy from
-  kStoreAlreadyBlue,         // M2 onto a node already blue
-  kComputeSource,            // M3 on a source (inputs use M1)
-  kComputeAlreadyRed,        // M3 onto a node already red
-  kComputeParentNotRed,      // M3 with some parent not red
-  kDeleteNoRed,              // M4 with no red pebble to delete
-  kBudgetExceeded,           // weighted red constraint violated (Def 2.1)
-  kInitialRedOverBudget,     // SimOptions::initial_red alone exceeds budget
-  kStopConditionUnmet,       // some sink never received a blue pebble
-  kReuseConditionUnmet,      // required_red_at_end node not red at the end
-};
-
-// Every code, for exhaustive iteration in tests and tools. Must list each
-// enumerator exactly once; the ToString round-trip test enforces it.
-inline constexpr SimErrorCode kAllSimErrorCodes[] = {
-    SimErrorCode::kNone,
-    SimErrorCode::kNodeOutOfRange,
-    SimErrorCode::kLoadNoBlue,
-    SimErrorCode::kLoadAlreadyRed,
-    SimErrorCode::kStoreNoRed,
-    SimErrorCode::kStoreAlreadyBlue,
-    SimErrorCode::kComputeSource,
-    SimErrorCode::kComputeAlreadyRed,
-    SimErrorCode::kComputeParentNotRed,
-    SimErrorCode::kDeleteNoRed,
-    SimErrorCode::kBudgetExceeded,
-    SimErrorCode::kInitialRedOverBudget,
-    SimErrorCode::kStopConditionUnmet,
-    SimErrorCode::kReuseConditionUnmet,
-};
-
-// Short stable identifier, e.g. "load-no-blue" (for CLI and logs). The
-// switch has no default case, so adding an enumerator without extending
-// this mapping fails the -Werror=switch build rather than silently
-// rendering as "unknown".
-const char* ToString(SimErrorCode code);
-
-// Inverse of ToString over the stable identifiers: "load-no-blue" ->
-// kLoadNoBlue; nullopt for anything else. Lets CLI/JSON consumers parse
-// error codes back without a second, drift-prone table.
-std::optional<SimErrorCode> SimErrorCodeFromString(std::string_view name);
 
 struct SimResult {
   bool valid = false;

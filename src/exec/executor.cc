@@ -1,6 +1,6 @@
 #include "exec/executor.h"
 
-#include <algorithm>
+#include "core/simulator.h"
 
 namespace wrbpg {
 
@@ -9,9 +9,14 @@ ExecResult ExecuteSchedule(const Graph& graph, Weight budget,
                            const std::vector<double>& source_values) {
   ExecResult result;
   const NodeId n = graph.num_nodes();
+  if (source_values.size() < n) {
+    result.error = "source_values holds " +
+                   std::to_string(source_values.size()) + " values for " +
+                   std::to_string(n) + " nodes";
+    return result;
+  }
 
   std::vector<double> fast(n, 0.0);
-  std::vector<unsigned char> in_fast(n, 0);
   result.slow_values.assign(n, 0.0);
   result.present.assign(n, 0);
   for (NodeId v : graph.sources()) {
@@ -19,88 +24,35 @@ ExecResult ExecuteSchedule(const Graph& graph, Weight budget,
     result.present[v] = 1;
   }
 
-  Weight fast_bits = 0;
-
-  auto fail = [&](std::size_t index, std::string message) {
-    result.ok = false;
-    result.error = std::move(message);
-    result.error_index = index;
-    return result;
-  };
-
-  std::vector<double> parent_values;
-  for (std::size_t i = 0; i < schedule.size(); ++i) {
-    const Move& m = schedule[i];
-    const NodeId v = m.node;
-    if (v >= n) return fail(i, ToString(m) + ": node out of range");
-    const Weight w = graph.weight(v);
-    switch (m.type) {
-      case MoveType::kLoad:
-        if (!result.present[v]) {
-          return fail(i, ToString(m) + ": value absent from slow memory");
+  // The simulator enforces the rules and calls back only after a move was
+  // legal and applied, so the observer just moves the data.
+  std::vector<double> operands;
+  const SimResult sim = Simulate(
+      graph, budget, schedule, {}, [&](std::size_t, const Move& m, Weight) {
+        const NodeId v = m.node;
+        switch (m.type) {
+          case MoveType::kLoad:
+            fast[v] = result.slow_values[v];
+            result.bits_loaded += graph.weight(v);
+            break;
+          case MoveType::kStore:
+            result.slow_values[v] = fast[v];
+            result.present[v] = 1;
+            result.bits_stored += graph.weight(v);
+            break;
+          case MoveType::kCompute:
+            operands.clear();
+            for (NodeId p : graph.parents(v)) operands.push_back(fast[p]);
+            fast[v] = op(v, operands);
+            break;
+          case MoveType::kDelete:
+            break;
         }
-        if (in_fast[v]) {
-          return fail(i, ToString(m) + ": value already in fast memory");
-        }
-        fast[v] = result.slow_values[v];
-        in_fast[v] = 1;
-        fast_bits += w;
-        result.bits_loaded += w;
-        break;
-      case MoveType::kStore:
-        if (!in_fast[v]) {
-          return fail(i, ToString(m) + ": value absent from fast memory");
-        }
-        if (result.present[v]) {
-          return fail(i, ToString(m) + ": value already in slow memory");
-        }
-        result.slow_values[v] = fast[v];
-        result.present[v] = 1;
-        result.bits_stored += w;
-        break;
-      case MoveType::kCompute: {
-        if (graph.is_source(v)) {
-          return fail(i, ToString(m) + ": cannot compute an input");
-        }
-        if (in_fast[v]) {
-          return fail(i, ToString(m) + ": slot already occupied");
-        }
-        parent_values.clear();
-        for (NodeId p : graph.parents(v)) {
-          if (!in_fast[p]) {
-            return fail(i, ToString(m) + ": operand v" + std::to_string(p) +
-                               " not in fast memory");
-          }
-          parent_values.push_back(fast[p]);
-        }
-        fast[v] = op(v, parent_values);
-        in_fast[v] = 1;
-        fast_bits += w;
-        break;
-      }
-      case MoveType::kDelete:
-        if (!in_fast[v]) {
-          return fail(i, ToString(m) + ": value absent from fast memory");
-        }
-        in_fast[v] = 0;
-        fast_bits -= w;
-        break;
-    }
-    if (fast_bits > budget) {
-      return fail(i, ToString(m) + ": fast memory capacity exceeded (" +
-                         std::to_string(fast_bits) + " > " +
-                         std::to_string(budget) + " bits)");
-    }
-    result.peak_fast_bits = std::max(result.peak_fast_bits, fast_bits);
-  }
-
-  for (NodeId s : graph.sinks()) {
-    if (!result.present[s]) {
-      return fail(schedule.size(), "output v" + std::to_string(s) +
-                                       " never reached slow memory");
-    }
-  }
-  result.ok = true;
+      });
+  result.ok = sim.valid;
+  result.error = sim.error;
+  result.error_index = sim.error_index;
+  result.peak_fast_bits = sim.peak_red_weight;
   return result;
 }
 

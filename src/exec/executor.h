@@ -3,10 +3,12 @@
 // Models the two-level memory machine behind the game: slow memory holds
 // blue-pebbled values, fast memory holds red-pebbled values, and the four
 // moves move/compute/discard actual numbers. M3 applies a user-supplied
-// node semantic to the parent values found in fast memory. Besides enforcing
-// exactly the simulator's rules, execution verifies that a schedule computes
-// the right *values* — the end-to-end check that schedules are not just
-// rule-abiding but functionally correct dataflow programs.
+// node semantic to the parent values found in fast memory. Execution is
+// Simulate() plus an observer that moves the data, so the rules, and the
+// text of every rejection, are the simulator's; on top of them it verifies
+// that a schedule computes the right *values* — the end-to-end check that
+// schedules are not just rule-abiding but functionally correct dataflow
+// programs.
 #pragma once
 
 #include <functional>
@@ -40,7 +42,9 @@ struct ExecResult {
 };
 
 // Executes `schedule` on the graph with initial slow-memory contents
-// `source_values` (indexed by NodeId; only source entries are read).
+// `source_values` (indexed by NodeId; only source entries are read). Fails
+// with ok == false when `source_values` holds fewer than num_nodes()
+// entries.
 ExecResult ExecuteSchedule(const Graph& graph, Weight budget,
                            const Schedule& schedule, const NodeOp& op,
                            const std::vector<double>& source_values);

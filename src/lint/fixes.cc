@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "core/trace.h"
+
 namespace wrbpg {
 namespace {
 
@@ -14,33 +16,6 @@ Schedule DropMoves(const Schedule& schedule,
     if (!dropped[i]) kept.push_back(schedule[i]);
   }
   return Schedule(std::move(kept));
-}
-
-// Post-move red occupancy of a simulator-valid schedule (plain effect
-// replay; no rule checks needed on an already-verified input).
-std::vector<Weight> OccupancySeries(const Graph& graph,
-                                    const Schedule& schedule) {
-  std::vector<Weight> occ(schedule.size(), 0);
-  std::vector<unsigned char> red(graph.num_nodes(), 0);
-  Weight red_weight = 0;
-  for (std::size_t i = 0; i < schedule.size(); ++i) {
-    const Move& m = schedule[i];
-    switch (m.type) {
-      case MoveType::kLoad:
-      case MoveType::kCompute:
-        red[m.node] = 1;
-        red_weight += graph.weight(m.node);
-        break;
-      case MoveType::kDelete:
-        red[m.node] = 0;
-        red_weight -= graph.weight(m.node);
-        break;
-      case MoveType::kStore:
-        break;
-    }
-    occ[i] = red_weight;
-  }
-  return occ;
 }
 
 }  // namespace
@@ -93,7 +68,9 @@ LintFixResult ApplyLintFixes(const Graph& graph, Weight budget,
       if (conflict) continue;
       if (d.rule_id == "spill-churn") {
         if (occupancy.empty()) {
-          occupancy = OccupancySeries(graph, result.schedule);
+          // result.schedule is simulator-verified, so the trace is complete.
+          occupancy =
+              TraceOccupancy(graph, budget, result.schedule).occupancy_bits;
           raised.assign(occupancy.size(), 0);
         }
         const std::size_t kill = d.fixit.drop_moves[0];

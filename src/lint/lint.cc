@@ -151,9 +151,9 @@ LintResult LintSchedule(const Graph& graph, Weight budget,
   const NodeId n = graph.num_nodes();
   const std::size_t t = schedule.size();
 
-  // --- Pass 1: abstract replay, mirroring the simulator's per-move checks
-  // (same check order, same error node) but continuing past violations by
-  // force-applying each move's nominal effect.
+  // --- Pass 1: replay through the rules kernel, reporting every violation
+  // and continuing past it (PebbleState::Apply is idempotent), then the
+  // derived rules that need the replay state.
   std::vector<LintDiagnostic> replay_diags;
   auto error = [&](std::string_view rule, SimErrorCode code, std::size_t index,
                    NodeId node, std::string message) {
@@ -164,12 +164,13 @@ LintResult LintSchedule(const Graph& graph, Weight budget,
                             .sim_code = code,
                             .message = std::move(message)});
   };
+  // The kernel's violations of an in-range move, by move type.
+  constexpr std::string_view kMoveRule[] = {"invalid-load", "invalid-store",
+                                            "invalid-compute",
+                                            "invalid-delete"};
 
-  std::vector<unsigned char> red(n, 0);
-  std::vector<unsigned char> blue(n, 0);
+  PebbleState state(graph);
   std::vector<unsigned char> computed(n, 0);
-  for (NodeId v : graph.sources()) blue[v] = 1;
-  Weight red_weight = 0;
   bool over_budget = false;
   std::vector<Weight> occupancy(t, 0);  // after each move
   // In-range stores seen, for the dead-store rule.
@@ -178,108 +179,55 @@ LintResult LintSchedule(const Graph& graph, Weight budget,
   for (std::size_t i = 0; i < t; ++i) {
     const Move& m = schedule[i];
     const NodeId v = m.node;
+    const RuleViolation violation = state.Check(m);
+    if (violation.code != SimErrorCode::kNone) {
+      error(violation.code == SimErrorCode::kNodeOutOfRange
+                ? "node-out-of-range"
+                : kMoveRule[static_cast<std::size_t>(m.type)],
+            violation.code, i, violation.node,
+            DescribeViolation(violation, &m));
+    }
     if (v >= n) {
-      error("node-out-of-range", SimErrorCode::kNodeOutOfRange, i, v,
-            ToString(m) + ": node out of range");
-      occupancy[i] = red_weight;
+      occupancy[i] = state.red_weight();
       continue;
     }
-    const Weight w = graph.weight(v);
-    switch (m.type) {
-      case MoveType::kLoad:
-        if (!blue[v]) {
-          error("invalid-load", SimErrorCode::kLoadNoBlue, i, v,
-                ToString(m) + ": no blue pebble to copy from");
-        } else if (red[v]) {
-          error("invalid-load", SimErrorCode::kLoadAlreadyRed, i, v,
-                ToString(m) + ": node already holds a red pebble");
+    if (m.type == MoveType::kCompute && !graph.is_source(v)) {
+      // Derived rules, emitted after the kernel's report so the first
+      // kError always matches the simulator's exactly.
+      for (NodeId p : graph.parents(v)) {
+        if (!graph.is_source(p) && !computed[p]) {
+          error("non-topological-compute", SimErrorCode::kComputeParentNotRed,
+                i, p,
+                ToString(m) + ": computed before its parent " + NodeStr(p) +
+                    "; the compute order is not topological");
+          break;
         }
-        if (!red[v]) {
-          red[v] = 1;
-          red_weight += w;
-        }
-        break;
-      case MoveType::kStore:
-        if (!red[v]) {
-          error("invalid-store", SimErrorCode::kStoreNoRed, i, v,
-                ToString(m) + ": no red pebble to copy from");
-        } else if (blue[v]) {
-          error("invalid-store", SimErrorCode::kStoreAlreadyBlue, i, v,
-                ToString(m) + ": node already holds a blue pebble");
-        }
-        blue[v] = 1;
-        break;
-      case MoveType::kCompute: {
-        if (graph.is_source(v)) {
-          error("invalid-compute", SimErrorCode::kComputeSource, i, v,
-                ToString(m) +
-                    ": source nodes are inputs and cannot be computed; "
-                    "use M1");
-        } else if (red[v]) {
-          error("invalid-compute", SimErrorCode::kComputeAlreadyRed, i, v,
-                ToString(m) + ": node already holds a red pebble");
-        } else {
-          for (NodeId p : graph.parents(v)) {
-            if (!red[p]) {
-              error("invalid-compute", SimErrorCode::kComputeParentNotRed, i,
-                    p,
-                    ToString(m) + ": parent " + NodeStr(p) +
-                        " holds no red pebble");
-              break;
-            }
-          }
-        }
-        if (!graph.is_source(v)) {
-          // Derived rules, emitted after the replay mirror so the first
-          // kError always matches the simulator's report exactly.
-          for (NodeId p : graph.parents(v)) {
-            if (!graph.is_source(p) && !computed[p]) {
-              error("non-topological-compute",
-                    SimErrorCode::kComputeParentNotRed, i, p,
-                    ToString(m) + ": computed before its parent " +
-                        NodeStr(p) + "; the compute order is not topological");
-              break;
-            }
-          }
-          Weight working = w;
-          for (NodeId p : graph.parents(v)) working += graph.weight(p);
-          if (working > budget) {
-            error("budget-infeasible", SimErrorCode::kBudgetExceeded, i, v,
-                  ToString(m) + ": working set " + std::to_string(working) +
-                      " bits exceeds budget " + std::to_string(budget) +
-                      "; by Proposition 2.3 no valid schedule contains this "
-                      "compute");
-          }
-          computed[v] = 1;
-        }
-        if (!red[v]) {
-          red[v] = 1;
-          red_weight += w;
-        }
-        break;
       }
-      case MoveType::kDelete:
-        if (!red[v]) {
-          error("invalid-delete", SimErrorCode::kDeleteNoRed, i, v,
-                ToString(m) + ": no red pebble to delete");
-        } else {
-          red[v] = 0;
-          red_weight -= w;
-        }
-        break;
+      Weight working = graph.weight(v);
+      for (NodeId p : graph.parents(v)) working += graph.weight(p);
+      if (working > budget) {
+        error("budget-infeasible", SimErrorCode::kBudgetExceeded, i, v,
+              ToString(m) + ": working set " + std::to_string(working) +
+                  " bits exceeds budget " + std::to_string(budget) +
+                  "; by Proposition 2.3 no valid schedule contains this "
+                  "compute");
+      }
+      computed[v] = 1;
     }
+    state.Apply(m);
     if (m.type == MoveType::kStore && !graph.is_sink(v) &&
         !graph.is_source(v)) {
       stores.emplace_back(i, v);
     }
-    if (red_weight > budget && !over_budget) {
+    // Edge-triggered: one report per excursion over the budget.
+    const bool over = state.red_weight() > budget;
+    if (over && !over_budget) {
       error("budget-exceeded", SimErrorCode::kBudgetExceeded, i, v,
-            ToString(m) + ": weighted red pebble constraint violated (" +
-                std::to_string(red_weight) + " > budget " +
-                std::to_string(budget) + ")");
+            DescribeViolation({SimErrorCode::kBudgetExceeded, v}, &m,
+                              state.red_weight(), budget));
     }
-    over_budget = red_weight > budget;
-    occupancy[i] = red_weight;
+    over_budget = over;
+    occupancy[i] = state.red_weight();
   }
 
   // --- Pass 2: liveness-based waste rules over the def/use chains.
@@ -406,19 +354,17 @@ LintResult LintSchedule(const Graph& graph, Weight budget,
     result.diagnostics.push_back(std::move(d));
   }
 
-  // --- End-of-schedule: the stopping condition, in the simulator's sink
-  // order so the first report matches Simulate() exactly.
-  for (NodeId s : graph.sinks()) {
-    if (!blue[s]) {
-      result.diagnostics.push_back(
-          {.rule_id = "stop-condition-unmet",
-           .severity = LintSeverity::kError,
-           .move_index = t,
-           .node = s,
-           .sim_code = SimErrorCode::kStopConditionUnmet,
-           .message = "stopping condition unmet: sink " + NodeStr(s) +
-                      " holds no blue pebble"});
-    }
+  // --- End-of-schedule: every unmet sink, ascending, so the first report
+  // matches Simulate() exactly.
+  for (const NodeId s : state.UnmetSinks()) {
+    const RuleViolation unmet{SimErrorCode::kStopConditionUnmet, s};
+    result.diagnostics.push_back(
+        {.rule_id = "stop-condition-unmet",
+         .severity = LintSeverity::kError,
+         .move_index = t,
+         .node = s,
+         .sim_code = unmet.code,
+         .message = DescribeViolation(unmet, nullptr)});
   }
 
   for (const LintDiagnostic& d : result.diagnostics) {

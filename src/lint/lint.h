@@ -1,9 +1,12 @@
 // Pass-based static analyzer for WRBPG schedules and graphs.
 //
-// LintSchedule treats a Schedule as an IR and runs a single fused pass —
-// abstract replay (red/blue sets + occupancy, mirroring the simulator's
-// per-move checks) interleaved with liveness-based waste detection — in
-// O(moves * avg-degree), without ever calling Simulate().
+// LintSchedule treats a Schedule as an IR. Pass 1 replays it through the
+// rules kernel Simulate() also runs (core/rules.h), but reports every
+// violation and continues past it, and adds the rules derived from the
+// replay state: non-topological compute, budget infeasibility, and one
+// budget-exceeded report per excursion over the budget. Pass 2 attributes
+// waste over liveness ranges. O(moves * avg-degree); Simulate() is never
+// called.
 //
 // Severity contract (tested in lint_differential_test.cc):
 //   * kError    the schedule is invalid: Simulate() rejects it, and the
@@ -28,7 +31,7 @@
 
 #include "core/graph.h"
 #include "core/schedule.h"
-#include "core/simulator.h"
+#include "core/rules.h"
 #include "core/types.h"
 #include "lint/liveness.h"
 
@@ -72,7 +75,7 @@ struct LintDiagnostic {
   NodeId node = kInvalidNode;
   // I/O bits this rule attributes as wasted (0 when not applicable).
   Weight wasted_bits = 0;
-  // For kError: the simulator error class this diagnostic mirrors.
+  // For kError: the SimErrorCode of the violated rule.
   SimErrorCode sim_code = SimErrorCode::kNone;
   std::string message;
   LintFixIt fixit = {};

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/rules.h"
+
 namespace wrbpg {
 
 UseTimeline UseTimeline::OverComputeOrder(const Graph& graph,
@@ -24,13 +26,8 @@ UseTimeline UseTimeline::OverMoves(const Graph& graph,
   timeline.uses_.resize(graph.num_nodes());
   timeline.cursor_.assign(graph.num_nodes(), 0);
   for (std::size_t i = 0; i < schedule.size(); ++i) {
-    const Move& m = schedule[i];
-    if (m.node >= graph.num_nodes()) continue;
-    if (m.type == MoveType::kStore) {
-      timeline.uses_[m.node].push_back(i);
-    } else if (m.type == MoveType::kCompute && !graph.is_source(m.node)) {
-      for (NodeId p : graph.parents(m.node)) timeline.uses_[p].push_back(i);
-    }
+    ForEachOperand(graph, schedule[i],
+                   [&](NodeId u) { timeline.uses_[u].push_back(i); });
   }
   return timeline;
 }
@@ -51,10 +48,10 @@ void MoveRefCounts::Consume(const Move& move) { Count(move, -1); }
 
 void MoveRefCounts::Count(const Move& move, std::int64_t delta) {
   if (move.node >= graph_.num_nodes()) return;
-  counts_[move.node] += delta;
-  if (move.type == MoveType::kCompute && !graph_.is_source(move.node)) {
-    for (NodeId p : graph_.parents(move.node)) counts_[p] += delta;
-  }
+  // A move mentions its own node and its operands; an M2's one operand is
+  // its own node.
+  if (move.type != MoveType::kStore) counts_[move.node] += delta;
+  ForEachOperand(graph_, move, [&](NodeId u) { counts_[u] += delta; });
 }
 
 MoveLiveness::MoveLiveness(const Graph& graph, const Schedule& schedule) {
@@ -75,19 +72,16 @@ MoveLiveness::MoveLiveness(const Graph& graph, const Schedule& schedule) {
     const Move& m = schedule[i];
     const NodeId v = m.node;
     if (v >= n) continue;
+    ForEachOperand(graph, m, [&](NodeId u) { use(u, i); });
     switch (m.type) {
       case MoveType::kLoad:
       case MoveType::kCompute:
-        if (m.type == MoveType::kCompute && !graph.is_source(v)) {
-          for (NodeId p : graph.parents(v)) use(p, i);
-        }
         if (open[v] != kNoMove) break;  // redundant def: keep current range
         open[v] = ranges_.size();
         by_node_[v].push_back(ranges_.size());
         ranges_.push_back({.node = v, .def = i, .def_type = m.type});
         break;
-      case MoveType::kStore:
-        use(v, i);  // M2 reads the red pebble
+      case MoveType::kStore:  // its one effect, the read, is counted above
         break;
       case MoveType::kDelete:
         if (open[v] != kNoMove) {

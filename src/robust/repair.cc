@@ -1,8 +1,8 @@
 #include "robust/repair.h"
 
-#include <algorithm>
 #include <vector>
 
+#include "core/rules.h"
 #include "lint/liveness.h"
 
 namespace wrbpg {
@@ -17,15 +17,12 @@ class Repairer {
         budget_(budget),
         input_(input),
         options_(options),
-        red_(graph.num_nodes(), 0),
-        blue_(graph.num_nodes(), 0),
+        state_(graph),
         pinned_(graph.num_nodes(), 0),
         // refs_.remaining(v) counts how often the rest of the input still
         // mentions v — as a move's own node or as a parent of a computed
         // node. Eviction prefers values the input never touches again.
-        refs_(graph, input) {
-    for (NodeId v : graph_.sources()) blue_[v] = 1;
-  }
+        refs_(graph, input) {}
 
   RepairResult Run() {
     RepairResult result;
@@ -34,7 +31,7 @@ class Repairer {
       const Move m = input_[i];
       ConsumeRefs(m);
       const std::size_t before = out_.size();
-      const bool kept = Apply(m);
+      const bool kept = Translate(m);
       if (failed_) break;
       if (kept) {
         ++result.moves_kept;
@@ -78,6 +75,7 @@ class Repairer {
   // next-reference counts before deciding how to translate it.
   void ConsumeRefs(const Move& m) { refs_.Consume(m); }
 
+  // Appends a legal move to the output and applies it to the state.
   bool Emit(Move m) {
     if (out_.size() >= options_.max_output_moves) {
       Fail(SimErrorCode::kNone, m.node,
@@ -86,6 +84,7 @@ class Repairer {
       return false;
     }
     out_.push_back(m);
+    state_.Apply(m);
     return true;
   }
 
@@ -95,13 +94,13 @@ class Repairer {
   // future reference or an unfinished sink — are stored before deletion so
   // the value survives in slow memory.
   bool EvictUntil(Weight need, NodeId for_node) {
-    while (red_weight_ + need > budget_) {
+    while (state_.red_weight() + need > budget_) {
       NodeId victim = kInvalidNode;
       bool victim_dead = false;
       for (NodeId v = 0; v < graph_.num_nodes(); ++v) {
-        if (!red_[v] || pinned_[v] != 0) continue;
+        if (!state_.red(v) || pinned_[v] != 0) continue;
         const bool dead = refs_.remaining(v) == 0 &&
-                          (blue_[v] != 0 || !graph_.is_sink(v));
+                          (state_.blue(v) || !graph_.is_sink(v));
         if (victim == kInvalidNode || (dead && !victim_dead) ||
             (dead == victim_dead && graph_.weight(v) < graph_.weight(victim))) {
           victim = v;
@@ -110,36 +109,28 @@ class Repairer {
       }
       if (victim == kInvalidNode) {
         Fail(SimErrorCode::kBudgetExceeded, for_node,
-             "working set for v" + std::to_string(for_node) +
-                 " cannot fit: " + std::to_string(red_weight_ + need) +
+             "working set for v" + std::to_string(for_node) + " cannot fit: " +
+                 std::to_string(state_.red_weight() + need) +
                  " > budget " + std::to_string(budget_) +
                  " with no evictable resident value");
         return false;
       }
-      if (!victim_dead && blue_[victim] == 0) {
-        if (!Emit(Store(victim))) return false;
-        blue_[victim] = 1;
+      if (!victim_dead && !state_.blue(victim) && !Emit(Store(victim))) {
+        return false;
       }
       if (!Emit(Delete(victim))) return false;
-      red_[victim] = 0;
-      red_weight_ -= graph_.weight(victim);
     }
     return true;
   }
 
   // Places a red pebble on v via `move` (M1 or M3), evicting to fit.
   bool Place(NodeId v, Move move) {
-    if (!EvictUntil(graph_.weight(v), v)) return false;
-    if (!Emit(move)) return false;
-    red_[v] = 1;
-    red_weight_ += graph_.weight(v);
-    return true;
+    return EvictUntil(graph_.weight(v), v) && Emit(move);
   }
 
-  bool AllParentsRed(NodeId v) const {
-    const auto parents = graph_.parents(v);
-    return std::all_of(parents.begin(), parents.end(),
-                       [&](NodeId p) { return red_[p] != 0; });
+  // True when `move` is legal in the current state.
+  bool Legal(const Move& move) const {
+    return state_.Check(move).code == SimErrorCode::kNone;
   }
 
   // Computes v with its (already red) parents pinned, so the eviction that
@@ -157,11 +148,11 @@ class Repairer {
   // materialization of the parents. Parents are pinned while a compute is
   // in flight so eviction cannot break the precondition.
   bool EnsureRed(NodeId v) {
-    if (red_[v]) return true;
+    if (state_.red(v)) return true;
     // Prefer the free compute whenever it is immediately legal (M3 costs
     // nothing, M1 costs w_v).
-    if (!graph_.is_source(v) && AllParentsRed(v)) return ComputePinned(v);
-    if (blue_[v]) return Place(v, Load(v));
+    if (Legal(Compute(v))) return ComputePinned(v);
+    if (Legal(Load(v))) return Place(v, Load(v));
     // Not red, not blue: v is a non-source (sources are always blue).
     // Rebuild the parents, keeping each resident until v is computed.
     const auto parents = graph_.parents(v);
@@ -182,13 +173,13 @@ class Repairer {
 
   // Translates one input move; returns true when the move itself survived
   // into the output (possibly with preparation inserted before it).
-  bool Apply(const Move& m) {
+  bool Translate(const Move& m) {
     const NodeId v = m.node;
     if (v >= graph_.num_nodes()) return false;  // drop unmappable moves
     switch (m.type) {
       case MoveType::kLoad:
       case MoveType::kCompute: {
-        if (red_[v]) return false;  // effect already holds; drop
+        if (state_.red(v)) return false;  // effect already holds; drop
         if (m.type == MoveType::kCompute && graph_.is_source(v)) {
           return false;  // sources cannot be computed; drop
         }
@@ -197,20 +188,12 @@ class Repairer {
         // Kept iff the final placement is literally this move.
         return out_.size() > before && out_.back() == m;
       }
-      case MoveType::kStore: {
-        if (blue_[v]) return false;  // already stored; drop
-        if (!red_[v] && !EnsureRed(v)) return false;
-        if (!Emit(Store(v))) return false;
-        blue_[v] = 1;
-        return true;
-      }
-      case MoveType::kDelete: {
-        if (!red_[v]) return false;  // nothing to delete; drop
-        if (!Emit(Delete(v))) return false;
-        red_[v] = 0;
-        red_weight_ -= graph_.weight(v);
-        return true;
-      }
+      case MoveType::kStore:
+        if (state_.blue(v)) return false;  // already stored; drop
+        return EnsureRed(v) && Emit(m);
+      case MoveType::kDelete:
+        if (!Legal(m)) return false;  // nothing to delete; drop
+        return Emit(m);
     }
     return false;
   }
@@ -218,10 +201,8 @@ class Repairer {
   // Restores the stopping condition: every sink ends with a blue pebble.
   void FinishStopCondition() {
     for (NodeId s : graph_.sinks()) {
-      if (failed_ || blue_[s]) continue;
-      if (!EnsureRed(s)) return;
-      if (!Emit(Store(s))) return;
-      blue_[s] = 1;
+      if (failed_ || state_.blue(s)) continue;
+      if (!EnsureRed(s) || !Emit(Store(s))) return;
     }
   }
 
@@ -230,11 +211,9 @@ class Repairer {
   const Schedule& input_;
   const RepairOptions& options_;
 
-  std::vector<unsigned char> red_;
-  std::vector<unsigned char> blue_;
+  PebbleState state_;
   std::vector<int> pinned_;  // >0: excluded from eviction
   MoveRefCounts refs_;
-  Weight red_weight_ = 0;
   std::vector<Move> out_;
   std::size_t input_index_ = 0;
 

@@ -1,8 +1,9 @@
 // Schedule repair: patch a possibly-invalid move sequence into one the
 // simulator accepts, or explain precisely why that is impossible.
 //
-// The repairer replays the input against the game state (as Simulate does)
-// but instead of failing on the first violation it edits:
+// The repairer replays the input against the game state (a PebbleState,
+// core/rules.h, that every emitted move is applied to) but instead of
+// failing on the first violation it edits:
 //
 //   * moves whose effect already holds (M1/M3 onto a red node, M2 onto a
 //     blue node, M4 of a non-red node) are dropped as redundant;

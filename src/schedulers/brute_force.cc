@@ -105,7 +105,8 @@ class PackedOps {
         require_sinks_blue_(options.require_sinks_blue) {
     const NodeId n = graph.num_nodes();
     // Word 0 of the shared move-legality masks IS the packed mask set
-    // (simulator and StateBound build theirs from the same GraphMasks).
+    // (the wide search and StateBound build theirs from the same
+    // GraphMasks).
     const GraphMasks masks(graph);
     sources_mask_ = static_cast<std::uint32_t>(masks.sources()[0]);
     sinks_mask_ = static_cast<std::uint32_t>(masks.sinks()[0]);

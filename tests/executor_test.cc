@@ -171,7 +171,7 @@ TEST(Executor, RejectsLoadOfAbsentValue) {
   const auto op = [](NodeId, std::span<const double>) { return 0.0; };
   const ExecResult exec = ExecuteSchedule(g, 100, s, op, {1.0, 0.0, 0.0});
   EXPECT_FALSE(exec.ok);
-  EXPECT_NE(exec.error.find("absent from slow memory"), std::string::npos);
+  EXPECT_NE(exec.error.find("no blue pebble to copy from"), std::string::npos);
 }
 
 TEST(Executor, RejectsComputeWithMissingOperand) {
@@ -181,7 +181,8 @@ TEST(Executor, RejectsComputeWithMissingOperand) {
   const auto op = [](NodeId, std::span<const double>) { return 0.0; };
   const ExecResult exec = ExecuteSchedule(g, 100, s, op, {1.0, 0.0, 0.0});
   EXPECT_FALSE(exec.ok);
-  EXPECT_NE(exec.error.find("not in fast memory"), std::string::npos);
+  EXPECT_NE(exec.error.find("parent v0 holds no red pebble"),
+            std::string::npos);
 }
 
 TEST(Executor, RejectsCapacityOverflow) {
@@ -192,7 +193,7 @@ TEST(Executor, RejectsCapacityOverflow) {
   const auto op = [](NodeId, std::span<const double>) { return 0.0; };
   const ExecResult exec = ExecuteSchedule(g, 3, s, op, {1.0, 0.0, 0.0});
   EXPECT_FALSE(exec.ok);
-  EXPECT_NE(exec.error.find("capacity exceeded"), std::string::npos);
+  EXPECT_NE(exec.error.find("constraint violated"), std::string::npos);
 }
 
 TEST(Executor, RejectsMissingOutput) {
@@ -203,7 +204,24 @@ TEST(Executor, RejectsMissingOutput) {
   const auto op = [](NodeId, std::span<const double>) { return 1.0; };
   const ExecResult exec = ExecuteSchedule(g, 100, s, op, {1.0, 0.0});
   EXPECT_FALSE(exec.ok);
-  EXPECT_NE(exec.error.find("never reached slow memory"), std::string::npos);
+  EXPECT_NE(exec.error.find("sink v1 holds no blue pebble"),
+            std::string::npos);
+}
+
+// The source values are indexed by NodeId, so fewer than num_nodes() of
+// them is a caller error reported as a failure, never read past the end.
+TEST(Executor, RejectsTooFewSourceValues) {
+  const DwtGraph dwt = BuildDwt(16, 2);  // sources v0..v15
+  const Weight budget = MinValidBudget(dwt.graph) + 32;
+  const auto run = DwtOptimalScheduler(dwt).Run(budget);
+  ASSERT_TRUE(run.feasible);
+  const ExecResult exec = ExecuteSchedule(
+      dwt.graph, budget, run.schedule, MakeDwtNodeOp(dwt), {1.0, 2.0});
+  EXPECT_FALSE(exec.ok);
+  EXPECT_NE(exec.error.find("2 values for " +
+                            std::to_string(dwt.graph.num_nodes()) + " nodes"),
+            std::string::npos)
+      << exec.error;
 }
 
 TEST(Executor, TracksTrafficSeparately) {

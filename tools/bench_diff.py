@@ -39,11 +39,13 @@ canonical-scaling documents (bench_scheduler_perf --canonical-scaling)
 need no baseline: pass `-` in its place and one document (the bench
 already keeps the fastest of five rounds per row). The gate fails when a
 row's relabeled graph was not matched to its reference (found), changed
-hash (hash_invariant) or was not recognized, and when a family's time
-grows by more than MAX_GROWTH (3x) per doubling of the node count from
-its smallest row to its largest. Gating the whole span rather than each
-consecutive pair keeps one cache-size step from failing the build while
-still catching quadratic refinement, which grows about 4x per doubling.
+hash (hash_invariant) or was not recognized, or its schedule was rejected
+by the simulator (valid), and when a family's canonical-layer time
+(time_ms) or simulator time (simulate_ms) grows by more than MAX_GROWTH
+(3x) per doubling of the node count from its smallest row to its largest.
+Gating the whole span rather than each consecutive pair keeps one
+cache-size step from failing the build while still catching quadratic
+work, which grows about 4x per doubling.
 
 Several current documents may be given (repeated runs of the same bench
 invocation); each row's wall-clock is then the MINIMUM across the runs.
@@ -70,7 +72,7 @@ import math
 import sys
 
 # canonical-scaling: the largest allowed factor of wall-clock growth per
-# doubling of the node count (near-linear refinement grows about 2x).
+# doubling of the node count (near-linear work grows about 2x).
 MAX_GROWTH = 3.0
 
 
@@ -291,37 +293,43 @@ def diff_anytime(base, cur):
 
 def diff_canonical_scaling(cur):
     """Self-gated: correctness flags per row, then each family's growth
-    per node doubling from its smallest row to its largest."""
+    per node doubling from its smallest row to its largest, for the
+    canonical layer and the simulator."""
     failures = []
     families = {}
     for row in cur["rows"]:
         for flag, what in (("found", "not matched to its reference"),
                            ("recognized", "not recognized"),
                            ("hash_invariant", "hash changed under "
-                                              "relabeling")):
+                                              "relabeling"),
+                           ("valid", "schedule rejected by the simulator")):
             if not row.get(flag, False):
                 failures.append(f"{row['instance']}: {what}")
         families.setdefault(row["family"], []).append(row)
 
-    print(f"{'family':<8} {'from':>14} {'to':>14} {'ms':>18} "
-          f"{'growth':>7}  verdict")
+    print(f"{'family':<8} {'metric':<12} {'from':>14} {'to':>14} "
+          f"{'ms':>18} {'growth':>7}  verdict")
     for family, rows in sorted(families.items()):
         rows.sort(key=lambda r: r["nodes"])
         first, last = rows[0], rows[-1]
-        if len(rows) < 2 or first["time_ms"] <= 0:
-            failures.append(f"{family}: fewer than two timed rows")
-            continue
-        doublings = math.log2(last["nodes"] / first["nodes"])
-        growth = (last["time_ms"] / first["time_ms"]) ** (1 / doublings)
-        verdict = "ok"
-        if growth > MAX_GROWTH:
-            verdict = "SUPERLINEAR"
-            failures.append(
-                f"{first['instance']} -> {last['instance']}: {growth:.2f}x "
-                f"per node doubling (limit {MAX_GROWTH:g}x)")
-        times = f"{first['time_ms']:.3f} -> {last['time_ms']:.3f}"
-        print(f"{family:<8} {first['instance']:>14} {last['instance']:>14} "
-              f"{times:>18} {growth:>6.2f}x  {verdict}")
+        for metric in ("time_ms", "simulate_ms"):
+            if len(rows) < 2 or first.get(metric, 0) <= 0:
+                failures.append(f"{family}: fewer than two rows with "
+                                f"{metric}")
+                continue
+            doublings = math.log2(last["nodes"] / first["nodes"])
+            growth = (last[metric] / first[metric]) ** (1 / doublings)
+            verdict = "ok"
+            if growth > MAX_GROWTH:
+                verdict = "SUPERLINEAR"
+                failures.append(
+                    f"{first['instance']} -> {last['instance']} {metric}: "
+                    f"{growth:.2f}x per node doubling "
+                    f"(limit {MAX_GROWTH:g}x)")
+            times = f"{first[metric]:.3f} -> {last[metric]:.3f}"
+            print(f"{family:<8} {metric:<12} {first['instance']:>14} "
+                  f"{last['instance']:>14} {times:>18} {growth:>6.2f}x  "
+                  f"{verdict}")
     return failures
 
 
