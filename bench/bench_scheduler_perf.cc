@@ -54,10 +54,11 @@
 // matched to its reference, kept its hash, and was recognized. The same
 // rounds time Simulate() on each bare graph, replaying a Belady schedule at
 // MinValidBudget + 16 that is built before timing starts, and record
-// whether the simulator accepted it. JSON to BENCH_canonical.json;
-// tools/bench_diff.py is the gate (those flags, and each family's growth
-// per doubling of the node count, for the canonical layer and for
-// Simulate() separately).
+// whether the simulator accepted it; and ParseGraphBinary() on each bare
+// graph's wrbpg-bin-v1 bytes, recording whether the decoded graph equals
+// it. JSON to BENCH_canonical.json; tools/bench_diff.py is the gate
+// (those flags, and each family's growth per doubling of the node count,
+// for the canonical layer, Simulate() and the decoder separately).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -72,6 +73,7 @@
 
 #include "bench/bench_util.h"
 #include "core/analysis.h"
+#include "core/binio.h"
 #include "core/simulator.h"
 #include "dataflows/butterfly_graph.h"
 #include "dataflows/dwt_graph.h"
@@ -876,10 +878,11 @@ int RunCanonicalScaling(const CliArgs& args) {
     Graph bare;
     Weight budget = 0;
     Schedule schedule;
+    std::string bytes;  // wrbpg-bin-v1 encoding of `bare`
     double hash_ms = 1e300, iso_ms = 1e300, recog_ms = 1e300;
-    double total_ms = 1e300, simulate_ms = 1e300;
+    double total_ms = 1e300, simulate_ms = 1e300, decode_ms = 1e300;
     bool found = true, recognized = true, hash_invariant = true;
-    bool valid = true;
+    bool valid = true, round_trip = true;
   };
   std::vector<Row> rows;
   for (const std::string family : {"kary", "dwt"}) {
@@ -897,6 +900,7 @@ int RunCanonicalScaling(const CliArgs& args) {
           row.reference, 0xca11u + static_cast<std::uint64_t>(k));
       row.budget = MinValidBudget(row.bare) + 16;
       row.schedule = BeladyScheduler(row.bare).Run(row.budget).schedule;
+      row.bytes = ToBinary(row.bare);
       rows.push_back(std::move(row));
     }
   }
@@ -918,6 +922,11 @@ int RunCanonicalScaling(const CliArgs& args) {
       const SimResult sim = Simulate(row.bare, row.budget, row.schedule);
       row.simulate_ms = std::min(row.simulate_ms, ElapsedMs(start));
       row.valid = row.valid && sim.valid;
+      start = SweepClock::now();
+      const GraphParseResult decoded = ParseGraphBinary(row.bytes);
+      row.decode_ms = std::min(row.decode_ms, ElapsedMs(start));
+      row.round_trip =
+          row.round_trip && decoded.ok && decoded.graph == row.bare;
       row.hash_ms = std::min(row.hash_ms, h);
       row.iso_ms = std::min(row.iso_ms, i);
       row.recog_ms = std::min(row.recog_ms, g);
@@ -935,7 +944,8 @@ int RunCanonicalScaling(const CliArgs& args) {
             << std::setw(10) << "total_ms" << std::setw(7) << "found"
             << std::setw(7) << "recog" << std::setw(7) << "hash="
             << std::setw(9) << "moves" << std::setw(8) << "sim_ms"
-            << std::setw(7) << "valid" << "\n";
+            << std::setw(7) << "valid" << std::setw(8) << "dec_ms"
+            << std::setw(7) << "trip" << "\n";
   obs::Json json_rows = obs::Json::Array();
   for (const Row& row : rows) {
     auto yes_no = [](bool b) { return b ? "yes" : "NO"; };
@@ -948,7 +958,9 @@ int RunCanonicalScaling(const CliArgs& args) {
               << yes_no(row.recognized) << std::setw(7)
               << yes_no(row.hash_invariant) << std::setw(9)
               << row.schedule.size() << std::setw(8) << row.simulate_ms
-              << std::setw(7) << yes_no(row.valid) << "\n";
+              << std::setw(7) << yes_no(row.valid) << std::setw(8)
+              << row.decode_ms << std::setw(7) << yes_no(row.round_trip)
+              << "\n";
 
     obs::Json json_row = obs::Json::Object();
     json_row.Set("instance", row.label);
@@ -967,6 +979,8 @@ int RunCanonicalScaling(const CliArgs& args) {
     json_row.Set("moves", row.schedule.size());
     json_row.Set("simulate_ms", row.simulate_ms);
     json_row.Set("valid", row.valid);
+    json_row.Set("decode_ms", row.decode_ms);
+    json_row.Set("round_trip", row.round_trip);
     json_rows.Push(std::move(json_row));
   }
 

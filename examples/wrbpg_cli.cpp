@@ -272,7 +272,9 @@ int PrintHelp() {
       "      Print this reference and exit 0.\n"
       "\n"
       "Flags are validated per verb: a flag that belongs to a different\n"
-      "verb is rejected with an error naming the verb that owns it.\n";
+      "verb is rejected with an error naming the verb that owns it.\n"
+      "Positional arguments are counted per verb: a stray one is\n"
+      "rejected with an error naming it.\n";
   return 0;
 }
 
@@ -608,6 +610,7 @@ int RunServe(const CliArgs& args) {
   std::cerr << "serve: requests=" << stats.requests
             << " hits=" << stats.cache_hits
             << " iso_hits=" << stats.iso_hits
+            << " key_memo_hits=" << stats.key_memo_hits
             << " misses=" << stats.misses
             << " dedup=" << stats.dedup_shared
             << " solves=" << stats.solves
@@ -623,25 +626,28 @@ int RunVerb(const CliArgs& args) {
   if (args.positional().empty()) return Usage();
   const std::string& command = args.positional()[0];
 
-  // Per-verb flag ownership: a flag passed to the wrong verb is rejected
-  // with an error naming the verb that accepts it (util/cli.h).
+  // Per-verb flag ownership and positional count: a flag passed to the
+  // wrong verb is rejected with an error naming the verb that accepts it,
+  // and a stray positional with an error naming it (util/cli.h).
   static const std::vector<VerbFlags> kVerbFlags = {
-      {"info", {}},
-      {"dot", {}},
-      {"analyze", {"budget", "json"}},
+      {"info", {}, 1, 1},
+      {"dot", {}, 1, 1},
+      {"analyze", {"budget", "json"}, 1, 1},
       {"explore",
        {"budget-lo", "budget-hi", "budget-step", "slack", "words",
-        "scheduler", "deadline-ms", "max-states", "json"}},
-      {"lint", {"budget", "json", "fix"}},
+        "scheduler", "deadline-ms", "max-states", "json"},
+       1, 1},
+      {"lint", {"budget", "json", "fix"}, 1, 2},
       {"schedule",
        {"budget", "algo", "engine", "deadline-ms", "memory-cap-mb",
-        "orbit-prune"}},
-      {"validate", {"budget"}},
-      {"repair", {"budget"}},
-      {"trace", {"budget"}},
-      {"profile", {"budget", "deadline-ms"}},
-      {"serve", {"cache-mb", "shards", "no-iso", "deadline-ms"}},
-      {"convert", {"out", "format"}},
+        "orbit-prune"},
+       1, 1},
+      {"validate", {"budget"}, 2, 2},
+      {"repair", {"budget"}, 2, 2},
+      {"trace", {"budget"}, 2, 2},
+      {"profile", {"budget", "deadline-ms"}, 1, 1},
+      {"serve", {"cache-mb", "shards", "no-iso", "deadline-ms"}, 0, 1},
+      {"convert", {"out", "format"}, 1, 1},
   };
   static const std::vector<std::string> kGlobalFlags = {"threads",
                                                         "metrics-json",
@@ -650,13 +656,13 @@ int RunVerb(const CliArgs& args) {
       std::any_of(kVerbFlags.begin(), kVerbFlags.end(),
                   [&](const VerbFlags& v) { return v.verb == command; });
   if (!known_verb) return Usage();
-  if (!args.CheckVerbFlags(command, kVerbFlags, kGlobalFlags)) {
+  if (!args.CheckVerbFlags(command, kVerbFlags, kGlobalFlags) ||
+      !args.CheckVerbArity(command, kVerbFlags)) {
     std::cerr << "error: " << args.error() << "\n";
     return 2;
   }
 
   if (command == "serve") return RunServe(args);
-  if (args.positional().size() < 2) return Usage();
 
   const LoadedGraph loaded = LoadGraphArg(args.positional()[1]);
   if (!loaded.ok) return 1;
@@ -936,7 +942,6 @@ int RunVerb(const CliArgs& args) {
   }
 
   if (command == "trace") {
-    if (args.positional().size() < 3) return Usage();
     const ScheduleParseResult sched = LoadScheduleArg(args.positional()[2]);
     if (!sched.ok) {
       std::cerr << "error: " << args.positional()[2] << ": " << sched.error
@@ -953,7 +958,6 @@ int RunVerb(const CliArgs& args) {
   }
 
   if (command == "repair") {
-    if (args.positional().size() < 3) return Usage();
     const ScheduleParseResult sched = LoadScheduleArg(args.positional()[2]);
     if (!sched.ok) {
       std::cerr << "error: " << args.positional()[2] << ": " << sched.error
@@ -978,7 +982,6 @@ int RunVerb(const CliArgs& args) {
   }
 
   if (command == "validate") {
-    if (args.positional().size() < 3) return Usage();
     const ScheduleParseResult sched = LoadScheduleArg(args.positional()[2]);
     if (!sched.ok) {
       std::cerr << "error: " << args.positional()[2] << ": " << sched.error

@@ -1,7 +1,7 @@
 #include "core/binio.h"
 
 #include <cstdint>
-#include <set>
+#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -26,33 +26,48 @@ std::uint64_t Fnv1a(std::string_view bytes) {
   return h;
 }
 
-void PutU16(std::string& out, std::uint16_t v) {
-  out.push_back(static_cast<char>(v & 0xff));
-  out.push_back(static_cast<char>((v >> 8) & 0xff));
-}
-
-void PutU32(std::string& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+// Little-endian writer over a buffer sized up front from the fixed layout,
+// so encoding is one allocation and no per-field growth checks.
+class Writer {
+ public:
+  Writer(std::uint8_t kind, std::size_t payload_size)
+      : out_(kHeaderSize + payload_size + kChecksumSize, '\0') {
+    Bytes(kBinMagic);
+    U8(kBinVersion);
+    U8(kind);
+    U16(0);  // reserved
   }
-}
 
-void PutU64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  void U8(std::uint8_t v) { Le(v, 1); }
+  void U16(std::uint16_t v) { Le(v, 2); }
+  void U32(std::uint32_t v) { Le(v, 4); }
+  void U64(std::uint64_t v) { Le(v, 8); }
+  void Bytes(std::string_view bytes) {
+    if (bytes.empty()) return;  // memcpy from a null data() is undefined
+    std::memcpy(out_.data() + pos_, bytes.data(), bytes.size());
+    pos_ += bytes.size();
   }
-}
 
-void PutHeader(std::string& out, std::uint8_t kind) {
-  out.append(kBinMagic);
-  out.push_back(static_cast<char>(kBinVersion));
-  out.push_back(static_cast<char>(kind));
-  PutU16(out, 0);  // reserved
-}
+  // Appends the checksum footer over everything written so far.
+  std::string Finish() && {
+    U64(Fnv1a(std::string_view(out_).substr(0, pos_)));
+    return std::move(out_);
+  }
 
-void PutChecksum(std::string& out) {
-  PutU64(out, Fnv1a(out));
-}
+ private:
+  void Le(std::uint64_t v, int width) {
+    // Through a local pointer: a store through char* may alias pos_, so
+    // indexing out_ per byte would reload both after every byte.
+    char* at = out_.data() + pos_;
+    for (int i = 0; i < width; ++i) {
+      at[i] = static_cast<char>((v >> (8 * i)) & 0xff);
+    }
+    pos_ += static_cast<std::size_t>(width);
+  }
+
+  std::string out_;
+  std::size_t pos_ = 0;
+};
 
 // Bounds-checked little-endian reader over the payload region.
 class Reader {
@@ -158,45 +173,46 @@ bool LooksLikeBinary(std::string_view bytes) {
 }
 
 std::string ToBinary(const Graph& graph) {
-  std::string out;
-  PutHeader(out, kBinKindGraph);
-  PutU32(out, graph.num_nodes());
-  PutU32(out, static_cast<std::uint32_t>(graph.num_edges()));
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
-    PutU64(out, static_cast<std::uint64_t>(graph.weight(v)));
-  }
+  const NodeId n = graph.num_nodes();
+  std::size_t name_bytes = 0;
   bool any_name = false;
-  for (NodeId v = 0; v < graph.num_nodes() && !any_name; ++v) {
-    any_name = !graph.name(v).empty();
+  for (NodeId v = 0; v < n; ++v) {
+    name_bytes += 4 + graph.name(v).size();
+    any_name = any_name || !graph.name(v).empty();
   }
-  out.push_back(any_name ? '\x01' : '\x00');
+  Writer out(kBinKindGraph, 4 + 4 + 8 * std::size_t{n} + 1 +
+                                (any_name ? name_bytes : 0) +
+                                8 * graph.num_edges());
+  out.U32(n);
+  out.U32(static_cast<std::uint32_t>(graph.num_edges()));
+  for (NodeId v = 0; v < n; ++v) {
+    out.U64(static_cast<std::uint64_t>(graph.weight(v)));
+  }
+  out.U8(any_name ? 1 : 0);
   if (any_name) {
-    for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    for (NodeId v = 0; v < n; ++v) {
       const std::string& name = graph.name(v);
-      PutU32(out, static_cast<std::uint32_t>(name.size()));
-      out.append(name);
+      out.U32(static_cast<std::uint32_t>(name.size()));
+      out.Bytes(name);
     }
   }
-  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+  for (NodeId v = 0; v < n; ++v) {
     for (const NodeId c : graph.children(v)) {
-      PutU32(out, v);
-      PutU32(out, c);
+      out.U32(v);
+      out.U32(c);
     }
   }
-  PutChecksum(out);
-  return out;
+  return std::move(out).Finish();
 }
 
 std::string ToBinary(const Schedule& schedule) {
-  std::string out;
-  PutHeader(out, kBinKindSchedule);
-  PutU32(out, static_cast<std::uint32_t>(schedule.size()));
+  Writer out(kBinKindSchedule, 4 + 5 * schedule.size());
+  out.U32(static_cast<std::uint32_t>(schedule.size()));
   for (const Move& move : schedule) {
-    out.push_back(static_cast<char>(move.type));
-    PutU32(out, move.node);
+    out.U8(static_cast<std::uint8_t>(move.type));
+    out.U32(move.node);
   }
-  PutChecksum(out);
-  return out;
+  return std::move(out).Finish();
 }
 
 GraphParseResult ParseGraphBinary(std::string_view bytes) {
@@ -244,21 +260,24 @@ GraphParseResult ParseGraphBinary(std::string_view bytes) {
   }
   GraphBuilder builder;
   for (std::uint32_t v = 0; v < num_nodes; ++v) {
-    std::string name;
-    if (names_present == 1) {
-      std::uint32_t len = 0;
-      if (!in.ReadU32(len)) return fail("truncated name table");
-      if (len > kMaxNameLen) {
-        return fail("name length " + std::to_string(len) + " exceeds limit " +
-                    std::to_string(kMaxNameLen));
-      }
-      std::string_view raw;
-      if (!in.ReadBytes(len, raw)) return fail("truncated name bytes");
-      name.assign(raw);
+    if (names_present == 0) {
+      builder.AddNode(weights[v]);
+      continue;
     }
-    builder.AddNode(weights[v], std::move(name));
+    std::uint32_t len = 0;
+    if (!in.ReadU32(len)) return fail("truncated name table");
+    if (len > kMaxNameLen) {
+      return fail("name length " + std::to_string(len) + " exceeds limit " +
+                  std::to_string(kMaxNameLen));
+    }
+    std::string_view raw;
+    if (!in.ReadBytes(len, raw)) return fail("truncated name bytes");
+    builder.AddNode(weights[v], std::string(raw));
   }
-  std::set<std::pair<std::uint32_t, std::uint32_t>> seen_edges;
+  // Endpoints are checked here, where the stream offset is known;
+  // duplicate edges and cycles are left to GraphBuilder::Build, the one
+  // model check both formats share.
+  const std::size_t edge_table = in.offset();
   for (std::uint32_t e = 0; e < num_edges; ++e) {
     std::uint32_t u = 0;
     std::uint32_t v = 0;
@@ -268,10 +287,6 @@ GraphParseResult ParseGraphBinary(std::string_view bytes) {
                   ") references an undeclared node");
     }
     if (u == v) return fail("self-loop on node " + std::to_string(u));
-    if (!seen_edges.emplace(u, v).second) {
-      return fail("duplicate edge (" + std::to_string(u) + "," +
-                  std::to_string(v) + ")");
-    }
     builder.AddEdge(u, v);
   }
   if (in.remaining() != 0) {
@@ -281,6 +296,13 @@ GraphParseResult ParseGraphBinary(std::string_view bytes) {
   auto built = builder.Build();
   if (!built.ok) {
     result.error = built.error;
+    if (built.error_edge != GraphBuilder::kNoEdge) {
+      // A duplicate edge, located past its record as the checks above are.
+      result.error.insert(0, "offset " +
+                                 std::to_string(kHeaderSize + edge_table +
+                                                8 * (built.error_edge + 1)) +
+                                 ": ");
+    }
     return result;
   }
   result.graph = std::move(built.graph);

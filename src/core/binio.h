@@ -22,8 +22,10 @@
 // structured parse error, never UB — declared counts are validated
 // against the remaining byte budget BEFORE any allocation, so a hostile
 // 50-byte input claiming 2^31 nodes is rejected without touching memory.
-// Graph decoding runs the same GraphBuilder validation as the text
-// parser, so the two formats accept exactly the same set of graphs.
+// The decoder checks what it can name a stream offset for (envelope,
+// counts, weights, names, endpoints, self-loops); duplicate edges and
+// cycles are found by GraphBuilder::Build, the one validation pass the
+// text parser shares, so the two formats accept exactly the same graphs.
 #pragma once
 
 #include <string>

@@ -55,7 +55,15 @@ class Graph {
   }
 
   // Optional human-readable node name ("" when unnamed).
-  const std::string& name(NodeId v) const { return names_[v]; }
+  const std::string& name(NodeId v) const {
+    static const std::string kUnnamed;
+    return names_.empty() ? kUnnamed : names_[v];
+  }
+
+  // Structural identity: equal weights, names and adjacency — exactly
+  // when the two graphs encode to the same wrbpg-bin-v1 bytes, because
+  // GraphBuilder sorts every neighbor row and derives the rest.
+  friend bool operator==(const Graph&, const Graph&) = default;
 
   // Sum of node weights over all of V.
   Weight total_weight() const noexcept { return total_weight_; }
@@ -64,7 +72,7 @@ class Graph {
   friend class GraphBuilder;
 
   std::vector<Weight> weights_;
-  std::vector<std::string> names_;
+  std::vector<std::string> names_;  // empty when no node is named
   std::vector<std::size_t> parent_offsets_;  // size num_nodes()+1
   std::vector<NodeId> parent_data_;
   std::vector<std::size_t> child_offsets_;  // size num_nodes()+1

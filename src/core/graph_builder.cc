@@ -3,15 +3,47 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <set>
+#include <numeric>
 #include <utility>
 
 namespace wrbpg {
+namespace {
+
+// AddEdge index of the first edge that repeats an earlier one, scanning in
+// insertion order. Only called once the sorted rows have shown that some
+// edge repeats: a stable sort groups equal edges with their occurrences
+// in insertion order, so each group's later members are repeats.
+std::size_t FirstRepeatedEdge(
+    const std::vector<std::pair<NodeId, NodeId>>& edges) {
+  std::vector<std::size_t> order(edges.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return edges[a] < edges[b];
+                   });
+  std::size_t first = GraphBuilder::kNoEdge;
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    if (edges[order[i]] == edges[order[i - 1]]) {
+      first = std::min(first, order[i]);
+    }
+  }
+  return first;
+}
+
+}  // namespace
+
+NodeId GraphBuilder::AddNode(Weight weight) {
+  weights_.push_back(weight);
+  return static_cast<NodeId>(weights_.size() - 1);
+}
 
 NodeId GraphBuilder::AddNode(Weight weight, std::string name) {
-  weights_.push_back(weight);
-  names_.push_back(std::move(name));
-  return static_cast<NodeId>(weights_.size() - 1);
+  const NodeId v = AddNode(weight);
+  if (!name.empty()) {
+    names_.resize(static_cast<std::size_t>(v) + 1);
+    names_[v] = std::move(name);
+  }
+  return v;
 }
 
 void GraphBuilder::AddEdge(NodeId u, NodeId v) { edges_.emplace_back(u, v); }
@@ -29,34 +61,32 @@ GraphBuilder::BuildResult GraphBuilder::Build(
     }
   }
 
-  std::set<std::pair<NodeId, NodeId>> seen;
-  for (const auto& [u, v] : edges_) {
+  Graph g;
+  g.weights_ = weights_;
+  if (!names_.empty()) {
+    g.names_ = names_;
+    g.names_.resize(n);
+  }
+  g.total_weight_ = 0;
+  for (Weight w : weights_) g.total_weight_ += w;
+
+  // CSR adjacency via counting sort over the edge list; the endpoint
+  // checks ride the counting pass.
+  g.parent_offsets_.assign(n + 1, 0);
+  g.child_offsets_.assign(n + 1, 0);
+  for (std::size_t e = 0; e < edges_.size(); ++e) {
+    const auto [u, v] = edges_[e];
     if (u >= n || v >= n) {
       result.error = "edge (" + std::to_string(u) + "," + std::to_string(v) +
                      ") references a node out of range";
+      result.error_edge = e;
       return result;
     }
     if (u == v) {
       result.error = "self-loop on node " + std::to_string(u);
+      result.error_edge = e;
       return result;
     }
-    if (!seen.emplace(u, v).second) {
-      result.error = "duplicate edge (" + std::to_string(u) + "," +
-                     std::to_string(v) + ")";
-      return result;
-    }
-  }
-
-  Graph g;
-  g.weights_ = weights_;
-  g.names_ = names_;
-  g.total_weight_ = 0;
-  for (Weight w : weights_) g.total_weight_ += w;
-
-  // CSR adjacency via counting sort over the edge list.
-  g.parent_offsets_.assign(n + 1, 0);
-  g.child_offsets_.assign(n + 1, 0);
-  for (const auto& [u, v] : edges_) {
     ++g.parent_offsets_[v + 1];
     ++g.child_offsets_[u + 1];
   }
@@ -76,17 +106,29 @@ GraphBuilder::BuildResult GraphBuilder::Build(
       g.child_data_[cfill[u]++] = v;
     }
   }
-  // Deterministic neighbor order (edge insertion order is already stable, but
-  // sorting makes equality of graphs independent of construction order).
+  // Deterministic neighbor order: sorting makes equality of graphs
+  // independent of construction order, and turns a duplicate edge into
+  // two equal neighbors in its child row.
+  bool duplicate = false;
   for (NodeId v = 0; v < n; ++v) {
     std::sort(g.parent_data_.begin() +
                   static_cast<std::ptrdiff_t>(g.parent_offsets_[v]),
               g.parent_data_.begin() +
                   static_cast<std::ptrdiff_t>(g.parent_offsets_[v + 1]));
-    std::sort(g.child_data_.begin() +
-                  static_cast<std::ptrdiff_t>(g.child_offsets_[v]),
-              g.child_data_.begin() +
-                  static_cast<std::ptrdiff_t>(g.child_offsets_[v + 1]));
+    const auto row_begin = g.child_data_.begin() +
+                           static_cast<std::ptrdiff_t>(g.child_offsets_[v]);
+    const auto row_end = g.child_data_.begin() +
+                         static_cast<std::ptrdiff_t>(g.child_offsets_[v + 1]);
+    std::sort(row_begin, row_end);
+    duplicate =
+        duplicate || std::adjacent_find(row_begin, row_end) != row_end;
+  }
+  if (duplicate) {
+    result.error_edge = FirstRepeatedEdge(edges_);
+    const auto [u, v] = edges_[result.error_edge];
+    result.error = "duplicate edge (" + std::to_string(u) + "," +
+                   std::to_string(v) + ")";
+    return result;
   }
 
   for (NodeId v = 0; v < n; ++v) {

@@ -1,7 +1,6 @@
 #include "core/serialize.h"
 
 #include <charconv>
-#include <set>
 #include <sstream>
 #include <vector>
 
@@ -75,7 +74,7 @@ GraphParseResult ParseGraphText(const std::string& text) {
   std::istringstream in(text);
   std::string line;
   GraphBuilder builder;
-  std::set<std::pair<std::int64_t, std::int64_t>> seen_edges;
+  std::vector<std::size_t> edge_lines;  // line of each edge, for Build errors
   bool header_seen = false;
   std::size_t lineno = 0;
   auto fail = [&](const std::string& message) {
@@ -131,10 +130,10 @@ GraphParseResult ParseGraphText(const std::string& text) {
       if (u == v) {
         return fail("self-loop on node " + tokens[1]);
       }
-      if (!seen_edges.emplace(u, v).second) {
-        return fail("duplicate edge (" + tokens[1] + "," + tokens[2] + ")");
-      }
+      // Duplicates and cycles are left to GraphBuilder::Build, the one
+      // model check both formats share.
       builder.AddEdge(static_cast<NodeId>(u), static_cast<NodeId>(v));
+      edge_lines.push_back(lineno);
     } else {
       return fail("unknown directive '" + tokens[0] + "'");
     }
@@ -150,6 +149,10 @@ GraphParseResult ParseGraphText(const std::string& text) {
   auto built = builder.Build();
   if (!built.ok) {
     result.error = built.error;
+    if (built.error_edge != GraphBuilder::kNoEdge) {
+      lineno = edge_lines[built.error_edge];
+      return fail(built.error);
+    }
     return result;
   }
   result.graph = std::move(built.graph);

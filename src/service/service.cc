@@ -30,6 +30,29 @@ std::uint64_t Mix64(std::uint64_t h) {
   return h;
 }
 
+// Fingerprint of one labeling of (graph, budget): exactly what DeriveKey
+// reads (names are not keyed). Each fold is a bijection of the running
+// state, so two inputs that differ in a single word never collide. Any
+// other collision only sends a request to the wrong cache entry, which
+// Serve's verification then refuses.
+std::uint64_t Fingerprint(const Graph& graph, Weight budget) {
+  constexpr std::uint64_t kOdd = 0x9e3779b97f4a7c15ULL;
+  std::uint64_t h = static_cast<std::uint64_t>(budget);
+  auto fold = [&h](std::uint64_t word) { h = (h ^ word) * kOdd; };
+  fold(graph.num_nodes());
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    fold(static_cast<std::uint64_t>(graph.weight(v)));
+    const auto children = graph.children(v);
+    fold(children.size());
+    for (const NodeId c : children) fold(c);
+  }
+  return Mix64(h);
+}
+
+// Accounted size of one key memo entry: its LRU list node, index node and
+// bucket, and the shared value, on a 64-bit standard library.
+constexpr std::size_t kKeyMemoEntryBytes = 160;
+
 // Only deadline-independent results may enter the cache. A solve that ran
 // under ANY deadline is suspect even when the winning stage itself reports
 // kComplete — which stage won the robust chain is wall-clock-dependent
@@ -64,15 +87,15 @@ const char* ToString(ServeSource source) {
   return "unknown";
 }
 
-// One cached (or in-flight) answer. The stored graph pins the exact node
-// labeling the result was solved under: byte-equality against it decides
-// direct hits, and the decoded copy anchors isomorphism renaming for
+// One cached (or in-flight) answer. The stored graph and budget pin what
+// the result was solved for: structural equality with the request decides
+// direct hits, and the stored graph anchors isomorphism renaming for
 // permuted requests.
 struct ScheduleService::CacheEntry {
   bool ok = false;          // the solve produced a valid schedule
   std::string error;        // infeasibility detail when !ok
-  std::string graph_bin;    // wrbpg-bin-v1 bytes of the solved graph
-  Graph graph;              // decoded copy (iso renaming, re-verification)
+  Graph graph;              // the solved labeling
+  Weight budget = 0;
   ScheduleResult result;
   std::string winner;
   std::size_t accounted_bytes = 0;
@@ -80,7 +103,9 @@ struct ScheduleService::CacheEntry {
 
 ScheduleService::ScheduleService(const ServiceOptions& options)
     : options_(options),
-      cache_(options.cache_bytes, options.cache_shards),
+      key_memo_(options.cache_bytes / kKeyMemoShare, options.cache_shards),
+      cache_(options.cache_bytes - options.cache_bytes / kKeyMemoShare,
+             options.cache_shards),
       pool_(ResolveThreadCount(options.threads)) {}
 
 std::uint64_t ScheduleService::DeriveKey(const Graph& graph, Weight budget) {
@@ -91,8 +116,26 @@ std::uint64_t ScheduleService::DeriveKey(const Graph& graph, Weight budget) {
                                   0x9e3779b97f4a7c15ULL));
 }
 
+std::uint64_t ScheduleService::MemoizedKey(const Graph& graph,
+                                           Weight budget) {
+  if (options_.cache_bytes == 0) return DeriveKey(graph, budget);
+  const std::uint64_t fingerprint = Fingerprint(graph, budget);
+  if (const auto key = key_memo_.Get(fingerprint)) {
+    static const obs::Counter memo_hits("service.key_memo_hits");
+    memo_hits.Add(1);
+    const std::scoped_lock lock(stats_mu_);
+    ++stats_.key_memo_hits;
+    return *key;
+  }
+  const std::uint64_t key = DeriveKey(graph, budget);
+  key_memo_.Put(fingerprint, std::make_shared<const std::uint64_t>(key),
+                kKeyMemoEntryBytes);
+  return key;
+}
+
 std::shared_ptr<const ScheduleService::CacheEntry> ScheduleService::Solve(
-    const ServiceRequest& request, double deadline_ms, std::uint64_t key) {
+    const ServiceRequest& request, double deadline_ms, std::uint64_t key,
+    std::size_t graph_bytes) {
   const obs::ScopedSpan span("service.solve");
   static const obs::Counter solves("service.solves");
   solves.Add(1);
@@ -107,8 +150,8 @@ std::shared_ptr<const ScheduleService::CacheEntry> ScheduleService::Solve(
       RobustScheduler(*request.graph).Run(request.budget, robust);
 
   auto entry = std::make_shared<CacheEntry>();
-  entry->graph_bin = ToBinary(*request.graph);
   entry->graph = *request.graph;
+  entry->budget = request.budget;
   entry->result = solved.result;
   entry->winner = solved.winner;
   entry->ok = solved.result.feasible;
@@ -118,7 +161,7 @@ std::shared_ptr<const ScheduleService::CacheEntry> ScheduleService::Solve(
   }
   const std::string schedule_bin = ToBinary(entry->result.schedule);
   entry->accounted_bytes =
-      entry->graph_bin.size() + schedule_bin.size() + sizeof(CacheEntry);
+      graph_bytes + schedule_bin.size() + sizeof(CacheEntry);
 
   if (options_.cache_bytes > 0 && CacheAdmissible(deadline_ms, entry->result)) {
     static const obs::Counter inserts("service.cache_inserts");
@@ -157,9 +200,8 @@ ServiceResponse ScheduleService::Serve(const ServiceRequest& request) {
   const double deadline_ms = request.deadline_ms > 0
                                  ? request.deadline_ms
                                  : options_.default_deadline_ms;
-  const std::uint64_t key = DeriveKey(*request.graph, request.budget);
+  const std::uint64_t key = MemoizedKey(*request.graph, request.budget);
   response.key = key;
-  const std::string graph_bin = ToBinary(*request.graph);
 
   auto respond_from = [&](const std::shared_ptr<const CacheEntry>& entry,
                           ServeSource source) {
@@ -173,14 +215,16 @@ ServiceResponse ScheduleService::Serve(const ServiceRequest& request) {
   };
 
   if (options_.cache_bytes > 0) {
-    if (const auto entry = cache_.Get(key)) {
-      if (entry->graph_bin == graph_bin) {
+    const auto entry = cache_.Get(key);
+    // A different budget under the same key is a collision: a miss.
+    if (entry != nullptr && entry->budget == request.budget) {
+      if (entry->graph == *request.graph) {
         hits.Add(1);
         const std::scoped_lock lock(stats_mu_);
         ++stats_.cache_hits;
         return respond_from(entry, ServeSource::kCacheHit);
       }
-      // Same iso-invariant key, different bytes: either a permuted
+      // Same iso-invariant key, different structure: either a permuted
       // isomorph (serve by verified renaming) or a genuine hash
       // collision (fall through to a cold solve).
       if (options_.iso_hits) {
@@ -231,11 +275,13 @@ ServiceResponse ScheduleService::Serve(const ServiceRequest& request) {
   // + effective deadline): concurrent identical requests run one solve;
   // requests differing only in deadline stay separate flights, because
   // their anytime results legitimately differ.
+  const std::string graph_bin = ToBinary(*request.graph);
   const std::string flight_key = graph_bin + '|' +
                                  std::to_string(request.budget) + '|' +
                                  std::to_string(deadline_ms);
-  const auto outcome = flights_.Do(
-      flight_key, [&] { return Solve(request, deadline_ms, key); });
+  const auto outcome = flights_.Do(flight_key, [&] {
+    return Solve(request, deadline_ms, key, graph_bin.size());
+  });
   if (!outcome.leader) {
     dedups.Add(1);
     const std::scoped_lock lock(stats_mu_);
@@ -329,9 +375,13 @@ ServiceStats ScheduleService::stats() const {
   out.cache_bytes = cache.bytes;
   out.cache_evictions = cache.evictions;
   out.cache_rejected = cache.rejected;
+  out.key_memo_bytes = key_memo_.stats().bytes;
   return out;
 }
 
-void ScheduleService::ClearCache() { cache_.Clear(); }
+void ScheduleService::ClearCache() {
+  cache_.Clear();
+  key_memo_.Clear();
+}
 
 }  // namespace wrbpg

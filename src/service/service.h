@@ -13,22 +13,30 @@
 //      so results computed by any engine at any thread count are
 //      interchangeable. Deadlines are not in the key either, because the
 //      cache only ever admits deadline-independent results (below).
+//      A key memo maps a cheap fingerprint of the labeling (budget,
+//      weights, child rows) to its key, so a labeling served before
+//      skips HashGraph. The memo is a ShardedLruCache holding a fixed
+//      1/kKeyMemoShare of cache_bytes; a fingerprint collision can only
+//      point a request at the wrong entry, which step 2 then refuses.
 //
 //   2. Sharded LRU schedule cache (util/lru.h) with a byte-budget
 //      eviction policy; entries account their wrbpg-bin-v1 encoded size
-//      (core/binio.h). A hit whose stored graph is byte-identical to the
-//      request's serves the stored result unchanged — bit-identical to
-//      the cold solve by construction. A hit whose stored graph is a
-//      permuted ISOMORPH of the request's (same iso-invariant key,
-//      different node ids) is served by renaming the stored schedule
-//      through an explicitly verified isomorphism (FindIsomorphism) and
+//      (core/binio.h). Every hit is verified against the entry's stored
+//      graph and budget. A stored graph structurally equal to the
+//      request's (Graph::operator==, the same as byte-identical
+//      encodings) serves the stored result unchanged — bit-identical to
+//      the cold solve by construction. A stored graph that is a permuted
+//      ISOMORPH of the request's (same iso-invariant key, different node
+//      ids) is served by renaming the stored schedule through an
+//      explicitly verified isomorphism (FindIsomorphism) and
 //      re-validating it in the simulator — same cost, provably valid,
 //      but node ids follow the request's labeling.
 //
 //   3. Single-flight dedup (util/singleflight.h): concurrent identical
 //      requests (exact graph bytes + budget) trigger exactly ONE solve;
 //      the followers share the leader's result and are counted as
-//      deduplicated.
+//      deduplicated. Only a miss encodes the request: its bytes key the
+//      flight and size the cache entry.
 //
 //   4. Misses dispatch through the robust fallback chain
 //      (robust/robust_scheduler.h), so every response honors the PR 6
@@ -49,9 +57,9 @@
 // stingy-deadline client's incumbent, and a cached entry is valid for
 // ANY later deadline.
 //
-// Observability: service.* counters (requests, hits, iso hits, misses,
-// dedup shares, solves, insert rejections) and service.serve/solve spans
-// (wrbpg-obs-v1).
+// Observability: service.* counters (requests, hits, iso hits, key memo
+// hits, misses, dedup shares, solves, insert rejections) and
+// service.serve/solve spans (wrbpg-obs-v1).
 #pragma once
 
 #include <cstdint>
@@ -101,8 +109,9 @@ struct ServiceResponse {
 };
 
 struct ServiceOptions {
-  // Total byte budget of the schedule cache; entries account their
-  // wrbpg-bin-v1 encoded graph + schedule size. 0 disables caching.
+  // Total byte budget of the schedule cache and the key memo; schedule
+  // entries account their wrbpg-bin-v1 encoded graph + schedule size, and
+  // the memo holds 1/kKeyMemoShare of the budget. 0 disables both.
   std::size_t cache_bytes = 64ull << 20;
   std::size_t cache_shards = 16;
   // Serve permuted isomorphs from cache by verified renaming. Off, an
@@ -121,6 +130,7 @@ struct ServiceStats {
   std::uint64_t requests = 0;
   std::uint64_t cache_hits = 0;      // byte-identical hits
   std::uint64_t iso_hits = 0;        // isomorph-renamed hits
+  std::uint64_t key_memo_hits = 0;   // keys served by the memo, not HashGraph
   std::uint64_t misses = 0;
   std::uint64_t dedup_shared = 0;    // responses served as kDedup
   std::uint64_t solves = 0;          // solver-chain executions
@@ -128,7 +138,12 @@ struct ServiceStats {
   std::uint64_t cache_bytes = 0;
   std::uint64_t cache_evictions = 0;
   std::uint64_t cache_rejected = 0;  // entries larger than a shard slice
+  std::uint64_t key_memo_bytes = 0;  // accounted bytes held by the key memo
 };
+
+// The key memo's share of ServiceOptions::cache_bytes is 1/kKeyMemoShare;
+// the schedule cache holds the rest.
+inline constexpr std::size_t kKeyMemoShare = 16;
 
 class ScheduleService {
  public:
@@ -146,8 +161,7 @@ class ScheduleService {
 
   ServiceStats stats() const;
 
-  // Drops every cached entry (counters are preserved). For tests and the
-  // serve verb's --no-cache mode.
+  // Drops every cached entry and memoized key (counters are preserved).
   void ClearCache();
 
   // The cache key Serve derives for (graph, budget) — exposed so tests
@@ -157,11 +171,16 @@ class ScheduleService {
  private:
   struct CacheEntry;
 
+  // DeriveKey through the key memo (step 1 above).
+  std::uint64_t MemoizedKey(const Graph& graph, Weight budget);
+
   std::shared_ptr<const CacheEntry> Solve(const ServiceRequest& request,
                                           double deadline_ms,
-                                          std::uint64_t key);
+                                          std::uint64_t key,
+                                          std::size_t graph_bytes);
 
   ServiceOptions options_;
+  ShardedLruCache<std::uint64_t, std::uint64_t> key_memo_;
   ShardedLruCache<std::uint64_t, CacheEntry> cache_;
   SingleFlight<std::string, CacheEntry> flights_;
   ThreadPool pool_;

@@ -152,6 +152,32 @@ bool CliArgs::CheckVerbFlags(
   return true;
 }
 
+bool CliArgs::CheckVerbArity(const std::string& verb,
+                             const std::vector<VerbFlags>& table) const {
+  const auto own = std::find_if(
+      table.begin(), table.end(),
+      [&](const VerbFlags& entry) { return entry.verb == verb; });
+  if (own == table.end()) return true;
+  const std::size_t args = positional_.empty() ? 0 : positional_.size() - 1;
+  const std::string takes =
+      own->min_args == own->max_args
+          ? std::to_string(own->max_args)
+          : std::to_string(own->min_args) + " to " +
+                std::to_string(own->max_args);
+  if (args > own->max_args) {
+    RecordError("unexpected argument '" + positional_[own->max_args + 1] +
+                "' for verb '" + verb + "' (takes " + takes + ")");
+    return false;
+  }
+  if (args < own->min_args) {
+    RecordError("verb '" + verb + "' takes " + takes + " argument" +
+                (own->max_args == 1 ? "" : "s") + ", got " +
+                std::to_string(args));
+    return false;
+  }
+  return true;
+}
+
 bool CliArgs::GetBool(const std::string& name, bool fallback) const {
   const auto it = flags_.find(name);
   if (it == flags_.end()) return fallback;

@@ -19,10 +19,13 @@
 
 namespace wrbpg {
 
-// One verb's accepted flag names, for CliArgs::CheckVerbFlags.
+// One verb's accepted flag names and positional-argument count (after the
+// verb itself), for CliArgs::CheckVerbFlags and CheckVerbArity.
 struct VerbFlags {
   std::string verb;
   std::vector<std::string> flags;
+  std::size_t min_args = 0;
+  std::size_t max_args = 0;
 };
 
 class CliArgs {
@@ -59,6 +62,14 @@ class CliArgs {
   bool CheckVerbFlags(const std::string& verb,
                       const std::vector<VerbFlags>& table,
                       const std::vector<std::string>& global_flags = {}) const;
+
+  // Checks the positionals after the verb (positional()[0]) against the
+  // verb's [min_args, max_args]: too many records an error naming the
+  // first stray argument — "unexpected argument 'extra' for verb
+  // 'schedule' (takes 1)" — and too few one naming the count. A verb
+  // absent from the table is not checked. Returns false on an error.
+  bool CheckVerbArity(const std::string& verb,
+                      const std::vector<VerbFlags>& table) const;
 
  private:
   void RecordError(const std::string& message) const;

@@ -6,6 +6,7 @@
 #include <random>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -158,6 +159,46 @@ TEST(BinIo, MatchesTheWrittenSpec) {
   const std::string spec_bytes = enc.Finish();
   EXPECT_EQ(ToBinary(g), spec_bytes);
   EXPECT_TRUE(ParseGraphBinary(spec_bytes).ok);
+}
+
+std::string FromHex(std::string_view hex) {
+  std::string bytes;
+  for (std::size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(static_cast<char>(
+        std::stoi(std::string(hex.substr(i, 2)), nullptr, 16)));
+  }
+  return bytes;
+}
+
+TEST(BinIo, ToBinaryBytesArePinned) {
+  // Golden encodings: ToBinary's bytes are an interchange format (files
+  // written by `convert`, request streams replayed by perfbench), so an
+  // encoder change must show up here, not drift silently. Unnamed, with
+  // edges added out of CSR order; then named.
+  GraphBuilder unnamed;
+  for (const Weight w : {16, 8, 24, 32, 40}) unnamed.AddNode(w);
+  for (const auto& [u, v] : std::vector<std::pair<NodeId, NodeId>>{
+           {2, 4}, {0, 2}, {1, 3}, {0, 1}, {3, 4}, {1, 2}}) {
+    unnamed.AddEdge(u, v);
+  }
+  EXPECT_EQ(ToBinary(unnamed.BuildOrDie()),
+            FromHex("5742494e010100000500000006000000"
+                    "10000000000000000800000000000000"
+                    "18000000000000002000000000000000"
+                    "28000000000000000000000000010000"
+                    "00000000000200000001000000020000"
+                    "00010000000300000002000000040000"
+                    "0003000000040000004141d66853ef56"
+                    "e1"));
+  EXPECT_EQ(ToBinary(Diamond()),
+            FromHex("5742494e010100000400000004000000"
+                    "10000000000000000800000000000000"
+                    "08000000000000002000000000000000"
+                    "0102000000696e040000006c65667405"
+                    "0000007269676874030000006f757400"
+                    "00000001000000000000000200000001"
+                    "00000003000000020000000300000012"
+                    "5344ac408a492f"));
 }
 
 TEST(BinIo, RejectsEveryStrictPrefix) {

@@ -144,8 +144,8 @@ TEST(Serialize, ParseRejectsDuplicateEdgeWithLineNumber) {
   const auto r = ParseGraphText(
       "wrbpg-graph v1\nnode 0 1\nnode 1 1\nedge 0 1\nedge 0 1\n");
   EXPECT_FALSE(r.ok);
-  // The parser itself names the offending line; the builder's later
-  // validation never even sees the duplicate.
+  // GraphBuilder::Build finds the duplicate; the parser maps the edge it
+  // names back to the line of its second occurrence.
   EXPECT_NE(r.error.find("line 5"), std::string::npos) << r.error;
   EXPECT_NE(r.error.find("duplicate edge"), std::string::npos) << r.error;
 }

@@ -234,6 +234,178 @@ TEST(ScheduleService, ServeBatchCollapsesDuplicatesAndMapsByIndex) {
   EXPECT_GE(service.stats().dedup_shared, 1u);
 }
 
+// Strips node names: the same weights and edges under the same ids.
+Graph Unnamed(const Graph& graph) {
+  GraphBuilder builder;
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    builder.AddNode(graph.weight(v));
+  }
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    for (const NodeId c : graph.children(v)) builder.AddEdge(v, c);
+  }
+  return builder.BuildOrDie();
+}
+
+TEST(ScheduleService, NameOnlyDifferenceIsAnIsoHit) {
+  // Names are part of a graph's bytes but not of its key: a request that
+  // differs from the cached graph only in names is not the same graph, so
+  // it is served through the verified renaming (the identity), not as a
+  // byte-identical hit.
+  const Graph named = BuiltinOrDie("dwt:8,2");
+  ASSERT_FALSE(named.name(0).empty());
+  const Graph bare = Unnamed(named);
+  const Weight budget = MinValidBudget(named) + 8;
+  ScheduleService service;
+  const ServiceResponse cold = service.Serve({&named, budget, 0});
+  ASSERT_TRUE(cold.ok);
+  const ServiceResponse hit = service.Serve({&bare, budget, 0});
+  ASSERT_TRUE(hit.ok);
+  EXPECT_EQ(hit.source, ServeSource::kIsoCacheHit);
+  EXPECT_EQ(hit.key, cold.key);
+  EXPECT_EQ(hit.result.cost, cold.result.cost);
+  EXPECT_TRUE(Simulate(bare, budget, hit.result.schedule).valid);
+  EXPECT_EQ(service.stats().solves, 1u);
+}
+
+TEST(ScheduleService, RepeatedLabelingHitsTheKeyMemo) {
+  const Graph graph = BuiltinOrDie("random:3,4,9");
+  const Graph permuted = testing::PermuteGraph(graph, 0x77);
+  const Weight budget = MinValidBudget(graph) + 8;
+  ScheduleService service;
+
+  const ServiceResponse cold = service.Serve({&graph, budget, 0});
+  ASSERT_TRUE(cold.ok);
+  EXPECT_EQ(service.stats().key_memo_hits, 0u);
+  const ServiceResponse repeat = service.Serve({&graph, budget, 0});
+  ASSERT_TRUE(repeat.ok);
+  EXPECT_EQ(service.stats().key_memo_hits, 1u);
+  EXPECT_EQ(repeat.source, ServeSource::kCacheHit);
+  EXPECT_EQ(repeat.key, cold.key);
+  EXPECT_EQ(ToBinary(repeat.result.schedule), ToBinary(cold.result.schedule));
+  EXPECT_EQ(repeat.result.cost, cold.result.cost);
+  EXPECT_EQ(repeat.result.lower_bound, cold.result.lower_bound);
+  EXPECT_EQ(repeat.result.termination, cold.result.termination);
+  EXPECT_EQ(repeat.winner, cold.winner);
+
+  // A new labeling hashes once, then repeats from the memo too; another
+  // budget is another memo entry.
+  const ServiceResponse iso = service.Serve({&permuted, budget, 0});
+  ASSERT_TRUE(iso.ok);
+  EXPECT_EQ(service.stats().key_memo_hits, 1u);
+  const ServiceResponse iso_repeat = service.Serve({&permuted, budget, 0});
+  EXPECT_EQ(service.stats().key_memo_hits, 2u);
+  EXPECT_EQ(iso_repeat.source, ServeSource::kIsoCacheHit);
+  EXPECT_EQ(ToBinary(iso_repeat.result.schedule),
+            ToBinary(iso.result.schedule));
+  EXPECT_EQ(iso_repeat.key, iso.key);
+  const ServiceResponse other = service.Serve({&graph, budget + 1, 0});
+  EXPECT_EQ(other.source, ServeSource::kSolved);
+  EXPECT_EQ(service.stats().key_memo_hits, 2u);
+  EXPECT_EQ(service.stats().solves, 2u);
+}
+
+TEST(ScheduleService, KeyMemoStaysWithinItsByteShare) {
+  ServiceOptions options;
+  options.cache_bytes = 64 << 10;
+  options.cache_shards = 1;
+  ScheduleService service(options);
+  const Graph graph = BuiltinOrDie("random:2,3,5");
+  const Weight budget = MinValidBudget(graph) + 8;
+  ASSERT_TRUE(service.Serve({&graph, budget, 0}).ok);
+  // Each relabeling is a distinct labeling with its own memo entry.
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const Graph permuted = testing::PermuteGraph(graph, seed);
+    const ServiceResponse response = service.Serve({&permuted, budget, 0});
+    ASSERT_TRUE(response.ok) << "seed " << seed;
+    EXPECT_NE(response.source, ServeSource::kSolved) << "seed " << seed;
+    EXPECT_LE(service.stats().key_memo_bytes,
+              options.cache_bytes / kKeyMemoShare);
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_GT(stats.key_memo_bytes, 0u);
+  EXPECT_EQ(stats.solves, 1u);
+  EXPECT_LE(stats.cache_bytes + stats.key_memo_bytes, options.cache_bytes);
+}
+
+TEST(ScheduleService, ClearCacheEmptiesTheKeyMemo) {
+  const Graph graph = BuiltinOrDie("random:3,4,11");
+  const Weight budget = MinValidBudget(graph) + 8;
+  ScheduleService service;
+  ASSERT_TRUE(service.Serve({&graph, budget, 0}).ok);
+  ASSERT_TRUE(service.Serve({&graph, budget, 0}).ok);
+  ASSERT_EQ(service.stats().key_memo_hits, 1u);
+  ASSERT_GT(service.stats().key_memo_bytes, 0u);
+
+  service.ClearCache();
+  EXPECT_EQ(service.stats().key_memo_bytes, 0u);
+  EXPECT_EQ(service.stats().cache_entries, 0u);
+  const ServiceResponse again = service.Serve({&graph, budget, 0});
+  EXPECT_EQ(again.source, ServeSource::kSolved);
+  EXPECT_EQ(service.stats().key_memo_hits, 1u);
+}
+
+TEST(ScheduleService, ConcurrentRepeatedAndDistinctLabelings) {
+  // Eight threads serve the same two graphs under repeated and fresh
+  // labelings at once: the memo, the cache and the flights are shared.
+  const std::vector<Graph> bases = {BuiltinOrDie("random:3,4,41"),
+                                    BuiltinOrDie("kary:2,3")};
+  std::vector<Weight> budgets;
+  std::vector<std::vector<Graph>> labelings(bases.size());
+  for (std::size_t b = 0; b < bases.size(); ++b) {
+    budgets.push_back(MinValidBudget(bases[b]) + 8);
+    labelings[b].push_back(bases[b]);
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      labelings[b].push_back(testing::PermuteGraph(bases[b], seed));
+    }
+  }
+  ScheduleService service;
+  std::vector<Weight> costs;
+  for (std::size_t b = 0; b < bases.size(); ++b) {
+    const ServiceResponse cold = service.Serve({&bases[b], budgets[b], 0});
+    ASSERT_TRUE(cold.ok);
+    costs.push_back(cold.result.cost);
+  }
+
+  constexpr std::size_t kThreads = 8;
+  constexpr std::size_t kRequests = 40;
+  std::vector<std::vector<ServiceResponse>> responses(kThreads);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t i = 0; i < kRequests; ++i) {
+          const std::size_t b = (t + i) % bases.size();
+          // Every other request repeats the base labeling; the rest walk
+          // the relabelings in a per-thread order.
+          const std::size_t l = i % 2 == 0 ? 0 : 1 + (t * 3 + i) % 6;
+          responses[t].push_back(
+              service.Serve({&labelings[b][l], budgets[b], 0}));
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  }
+
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < kRequests; ++i) {
+      const std::size_t b = (t + i) % bases.size();
+      const std::size_t l = i % 2 == 0 ? 0 : 1 + (t * 3 + i) % 6;
+      const ServiceResponse& response = responses[t][i];
+      ASSERT_TRUE(response.ok);
+      EXPECT_EQ(response.source, l == 0 ? ServeSource::kCacheHit
+                                        : ServeSource::kIsoCacheHit);
+      EXPECT_EQ(response.result.cost, costs[b]);
+      EXPECT_TRUE(
+          Simulate(labelings[b][l], budgets[b], response.result.schedule)
+              .valid);
+    }
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.solves, bases.size());
+  // 14 labelings hash at most once each per thread that races on them.
+  EXPECT_GE(stats.key_memo_hits, kThreads * kRequests - 14 * kThreads);
+}
+
 TEST(ScheduleService, RejectsMalformedRequests) {
   ScheduleService service;
   ServiceRequest no_graph;

@@ -292,5 +292,47 @@ TEST(Cli, CheckVerbFlagsUnknownVerbStillChecksGlobals) {
   EXPECT_NE(args2.error().find("belongs to verb"), std::string::npos);
 }
 
+// Positional counts after the verb, for CheckVerbArity tests.
+const std::vector<VerbFlags> kArityTable = {
+    {"schedule", {"budget"}, 1, 1},
+    {"lint", {}, 1, 2},
+    {"serve", {}, 0, 1},
+};
+
+TEST(Cli, CheckVerbArityNamesTheStrayArgument) {
+  const char* argv[] = {"prog", "schedule", "dwt:8,2", "extra", "junk",
+                        "--budget=64"};
+  const CliArgs args(6, argv);
+  EXPECT_FALSE(args.CheckVerbArity("schedule", kArityTable));
+  EXPECT_EQ(args.error(),
+            "unexpected argument 'extra' for verb 'schedule' (takes 1)");
+
+  const char* lint[] = {"prog", "lint", "g.txt", "s.txt", "more"};
+  const CliArgs lint_args(5, lint);
+  EXPECT_FALSE(lint_args.CheckVerbArity("lint", kArityTable));
+  EXPECT_EQ(lint_args.error(),
+            "unexpected argument 'more' for verb 'lint' (takes 1 to 2)");
+}
+
+TEST(Cli, CheckVerbArityReportsMissingArguments) {
+  const char* argv[] = {"prog", "schedule", "--budget=64"};
+  const CliArgs args(3, argv);
+  EXPECT_FALSE(args.CheckVerbArity("schedule", kArityTable));
+  EXPECT_EQ(args.error(), "verb 'schedule' takes 1 argument, got 0");
+}
+
+TEST(Cli, CheckVerbArityAcceptsTheDeclaredRange) {
+  for (const int argc : {2, 3, 4}) {
+    const char* argv[] = {"prog", "lint", "g.txt", "s.txt"};
+    const CliArgs args(argc, argv);
+    EXPECT_EQ(args.CheckVerbArity("lint", kArityTable), argc > 2) << argc;
+  }
+  const char* serve[] = {"prog", "serve"};
+  EXPECT_TRUE(CliArgs(2, serve).CheckVerbArity("serve", kArityTable));
+  // A verb absent from the table is not checked.
+  const char* other[] = {"prog", "mystery", "a", "b"};
+  EXPECT_TRUE(CliArgs(4, other).CheckVerbArity("mystery", kArityTable));
+}
+
 }  // namespace
 }  // namespace wrbpg

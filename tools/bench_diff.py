@@ -39,10 +39,12 @@ canonical-scaling documents (bench_scheduler_perf --canonical-scaling)
 need no baseline: pass `-` in its place and one document (the bench
 already keeps the fastest of five rounds per row). The gate fails when a
 row's relabeled graph was not matched to its reference (found), changed
-hash (hash_invariant) or was not recognized, or its schedule was rejected
-by the simulator (valid), and when a family's canonical-layer time
-(time_ms) or simulator time (simulate_ms) grows by more than MAX_GROWTH
-(3x) per doubling of the node count from its smallest row to its largest.
+hash (hash_invariant) or was not recognized, its schedule was rejected
+by the simulator (valid), or its graph did not survive a wrbpg-bin-v1
+round trip (round_trip), and when a family's canonical-layer time
+(time_ms), simulator time (simulate_ms) or decoder time (decode_ms)
+grows by more than MAX_GROWTH (3x) per doubling of the node count from
+its smallest row to its largest.
 Gating the whole span rather than each consecutive pair keeps one
 cache-size step from failing the build while still catching quadratic
 work, which grows about 4x per doubling.
@@ -294,7 +296,7 @@ def diff_anytime(base, cur):
 def diff_canonical_scaling(cur):
     """Self-gated: correctness flags per row, then each family's growth
     per node doubling from its smallest row to its largest, for the
-    canonical layer and the simulator."""
+    canonical layer, the simulator and the binary decoder."""
     failures = []
     families = {}
     for row in cur["rows"]:
@@ -302,7 +304,9 @@ def diff_canonical_scaling(cur):
                            ("recognized", "not recognized"),
                            ("hash_invariant", "hash changed under "
                                               "relabeling"),
-                           ("valid", "schedule rejected by the simulator")):
+                           ("valid", "schedule rejected by the simulator"),
+                           ("round_trip", "decoded graph differs from the "
+                                          "encoded one")):
             if not row.get(flag, False):
                 failures.append(f"{row['instance']}: {what}")
         families.setdefault(row["family"], []).append(row)
@@ -312,7 +316,7 @@ def diff_canonical_scaling(cur):
     for family, rows in sorted(families.items()):
         rows.sort(key=lambda r: r["nodes"])
         first, last = rows[0], rows[-1]
-        for metric in ("time_ms", "simulate_ms"):
+        for metric in ("time_ms", "simulate_ms", "decode_ms"):
             if len(rows) < 2 or first.get(metric, 0) <= 0:
                 failures.append(f"{family}: fewer than two rows with "
                                 f"{metric}")
