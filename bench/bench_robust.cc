@@ -27,6 +27,7 @@
 #include "robust/robust_scheduler.h"
 #include "schedulers/belady.h"
 #include "schedulers/dwt_optimal.h"
+#include "schedulers/layer_by_layer.h"
 #include "util/cli.h"
 #include "util/rng.h"
 
@@ -92,6 +93,27 @@ void BM_BeladyBaseline(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BeladyBaseline);
+
+// The two rules of the shared eviction loop on one 766-node graph.
+void BM_BeladyDwt256(benchmark::State& state) {
+  const DwtGraph dwt = BuildDwt(256, 8);
+  const Weight budget = MinValidBudget(dwt.graph) + 64;
+  const BeladyScheduler belady(dwt.graph);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(belady.Run(budget));
+  }
+}
+BENCHMARK(BM_BeladyDwt256);
+
+void BM_LayerByLayerDwt256(benchmark::State& state) {
+  const DwtGraph dwt = BuildDwt(256, 8);
+  const Weight budget = MinValidBudget(dwt.graph) + 64;
+  const LayerByLayerScheduler baseline(dwt.graph, dwt.layers);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(baseline.Run(budget));
+  }
+}
+BENCHMARK(BM_LayerByLayerDwt256);
 
 void BM_RobustChainWithDeadline(benchmark::State& state) {
   // End-to-end fallback latency with a deadline that cancels the exact

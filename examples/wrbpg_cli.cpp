@@ -352,8 +352,8 @@ ScheduleParseResult LoadScheduleArg(const std::string& path) {
                                : ParseScheduleText(text);
 }
 
-// The `profile` verb: exercise every instrumented layer once — a budget
-// sweep through the infeasible band (analysis counters), the
+// The `profile` verb: exercise every instrumented layer once — a Belady
+// budget sweep through the infeasible band (analysis counters), the
 // structure-specific DP when the graph is a builtin (memo counters), and
 // the robust fallback chain (exact search + simulator verification +
 // per-stage spans) — then print the observability report.
@@ -411,10 +411,10 @@ int RunProfile(const CliArgs& args, const LoadedGraph& loaded,
             << " (budget " << budget << ", min valid " << min_budget
             << ")\n";
   for (std::size_t i = 0; i < grid.size(); ++i) {
-    std::cerr << "sweep budget=" << grid[i] << ": "
-              << (costs[i] >= kInfiniteCost ? std::string("infeasible")
-                                            : std::to_string(costs[i]) +
-                                                  " bits")
+    std::cerr << "sweep budget=" << grid[i] << ": belady "
+              << (costs[i] >= kInfiniteCost
+                      ? std::string("infeasible")
+                      : "cost=" + std::to_string(costs[i]) + " bits")
               << "\n";
   }
 

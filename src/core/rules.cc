@@ -88,11 +88,10 @@ std::string DescribeViolation(const RuleViolation& violation,
 
 PebbleState::PebbleState(const Graph& graph)
     : graph_(graph),
-      red_((static_cast<std::size_t>(graph.num_nodes()) + 63) / 64, 0),
-      blue_(red_.size(), 0) {
-  for (const NodeId v : graph.sources()) {
-    blue_[v / 64] |= std::uint64_t{1} << (v % 64);
-  }
+      num_nodes_(graph.num_nodes()),
+      red_(std::make_unique<bool[]>(num_nodes_)),
+      blue_(std::make_unique<bool[]>(num_nodes_)) {
+  for (const NodeId v : graph.sources()) blue_[v] = true;
 }
 
 std::vector<NodeId> PebbleState::UnmetSinks() const {

@@ -4,22 +4,25 @@
 // of their violations, and the diagnostic text of each.
 //
 // PebbleState is the pebble configuration of one Graph: red and blue sets
-// as 64-bit words (node v lives in word v/64, bit v%64) plus the total red
-// weight. Check() tests one move's preconditions and Apply() performs its
-// effect; every replay of a schedule is a loop over the two:
+// as one bool per node plus the total red weight. Check() tests one move's
+// preconditions and Apply() performs its effect; every replay of a
+// schedule is a loop over the two:
 //
 //   * Simulate() (core/simulator.h) stops at the first violation, and
 //     ExecuteSchedule() (exec/executor.h) is Simulate() plus an observer
 //     that moves the data;
 //   * LintSchedule()'s replay pass (lint/lint.h) reports every violation
 //     and continues past it by applying the move anyway;
-//   * the repairer (robust/repair.h) applies each move it emits.
+//   * the repairer (robust/repair.h) and the eviction list scheduler
+//     behind Belady and the layer-by-layer baseline (schedulers/belady.h)
+//     apply each move they emit.
 //
 // The exact search does not replay schedules: it enumerates whole sets of
 // legal moves on packed or interned states (core/graph_masks.h).
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -102,10 +105,8 @@ class PebbleState {
   // The starting condition: blue pebbles on all of A(G), no red pebbles.
   explicit PebbleState(const Graph& graph);
 
-  bool red(NodeId v) const { return ((red_[v / 64] >> (v % 64)) & 1) != 0; }
-  bool blue(NodeId v) const {
-    return ((blue_[v / 64] >> (v % 64)) & 1) != 0;
-  }
+  bool red(NodeId v) const { return red_[v]; }
+  bool blue(NodeId v) const { return blue_[v]; }
   // Total weight of the red pebbles: the quantity Definition 2.1 bounds.
   Weight red_weight() const { return red_weight_; }
 
@@ -118,13 +119,14 @@ class PebbleState {
   //   M4: red.
   // Code kNone when the move is legal. The weighted red constraint is not a
   // precondition: it holds iff red_weight() <= budget after Apply().
-  RuleViolation Check(const Move& move) const;
+  RuleViolation Check(Move move) const;
 
   // The effect of `move`: M1 and M3 place a red pebble, M2 a blue one, M4
   // removes the red one. Idempotent — a pebble already in place stays, and
-  // the red weight changes only when a red bit flips — so a replay can go
-  // on past a violated precondition. Out-of-range nodes change nothing.
-  void Apply(const Move& move);
+  // the red weight changes only when a red pebble comes or goes — so a
+  // replay can go on past a violated precondition. Out-of-range nodes
+  // change nothing.
+  void Apply(Move move);
 
   // Sinks holding no blue pebble, ascending; the stopping condition holds
   // iff this is empty.
@@ -132,14 +134,18 @@ class PebbleState {
 
  private:
   const Graph& graph_;
-  std::vector<std::uint64_t> red_;
-  std::vector<std::uint64_t> blue_;
+  NodeId num_nodes_;
+  // Plain bool arrays: a write is a store, not a read-modify-write of a
+  // word shared with neighbouring nodes, and a bool store does not alias
+  // the graph's arrays the way a byte-typed one would.
+  std::unique_ptr<bool[]> red_;
+  std::unique_ptr<bool[]> blue_;
   Weight red_weight_ = 0;
 };
 
-inline RuleViolation PebbleState::Check(const Move& move) const {
+inline RuleViolation PebbleState::Check(Move move) const {
   const NodeId v = move.node;
-  if (v >= graph_.num_nodes()) return {SimErrorCode::kNodeOutOfRange, v};
+  if (v >= num_nodes_) return {SimErrorCode::kNodeOutOfRange, v};
   switch (move.type) {
     case MoveType::kLoad:
       if (!blue(v)) return {SimErrorCode::kLoadNoBlue, v};
@@ -163,23 +169,21 @@ inline RuleViolation PebbleState::Check(const Move& move) const {
   return {};
 }
 
-inline void PebbleState::Apply(const Move& move) {
+inline void PebbleState::Apply(Move move) {
   const NodeId v = move.node;
-  if (v >= graph_.num_nodes()) return;
-  std::uint64_t& red_word = red_[v / 64];
-  const std::uint64_t bit = std::uint64_t{1} << (v % 64);
+  if (v >= num_nodes_) return;
   switch (move.type) {
     case MoveType::kLoad:
     case MoveType::kCompute:
-      if ((red_word & bit) == 0) red_weight_ += graph_.weight(v);
-      red_word |= bit;
+      if (!red_[v]) red_weight_ += graph_.weight(v);
+      red_[v] = true;
       break;
     case MoveType::kStore:
-      blue_[v / 64] |= bit;
+      blue_[v] = true;
       break;
     case MoveType::kDelete:
-      if ((red_word & bit) != 0) red_weight_ -= graph_.weight(v);
-      red_word &= ~bit;
+      if (red_[v]) red_weight_ -= graph_.weight(v);
+      red_[v] = false;
       break;
   }
 }

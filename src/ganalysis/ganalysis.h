@@ -66,10 +66,6 @@ std::vector<GraphFact> RunStructureRules(const Graph& graph);
 struct AnalysisOptions {
   // Budget for the bound certificates; <= 0 selects MinValidBudget(graph).
   Weight budget = 0;
-  // Re-check every emitted certificate with VerifyCertificate and record
-  // the outcome (facts turn into kWarning on a failure — which would be
-  // an analyzer bug, not a graph property).
-  bool verify_certificates = true;
 };
 
 struct GraphAnalysis {
@@ -83,8 +79,9 @@ struct GraphAnalysis {
   // recognition
   RecognitionResult recognition;
 
-  // bounds (BoundKind order) and their verification outcomes (parallel
-  // array, empty when verification was disabled).
+  // bounds (BoundKind order) and their VerifyCertificate outcomes
+  // (parallel array; a failed check turns into a kWarning fact, which
+  // would be an analyzer bug, not a graph property).
   std::vector<BoundCertificate> certificates;
   std::vector<CertificateCheck> checks;
   Weight best_bound = 0;  // max certificate value

@@ -6,37 +6,51 @@
 
 namespace wrbpg {
 
+template <typename ForEachUse>
+UseTimeline UseTimeline::Build(NodeId num_nodes, ForEachUse&& for_each_use) {
+  UseTimeline timeline;
+  timeline.offsets_.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
+  for_each_use([&](NodeId u, std::size_t) { ++timeline.offsets_[u + 1]; });
+  for (NodeId v = 0; v < num_nodes; ++v) {
+    timeline.offsets_[v + 1] += timeline.offsets_[v];
+  }
+  timeline.positions_.resize(timeline.offsets_[num_nodes]);
+  timeline.cursor_.assign(timeline.offsets_.begin(),
+                          timeline.offsets_.end() - 1);
+  // Positions are visited in order, so each node's run comes out sorted.
+  for_each_use([&](NodeId u, std::size_t t) {
+    timeline.positions_[timeline.cursor_[u]++] = t;
+  });
+  timeline.cursor_.assign(timeline.offsets_.begin(),
+                          timeline.offsets_.end() - 1);
+  return timeline;
+}
+
 UseTimeline UseTimeline::OverComputeOrder(const Graph& graph,
                                           std::span<const NodeId> order) {
-  UseTimeline timeline;
-  timeline.uses_.resize(graph.num_nodes());
-  timeline.cursor_.assign(graph.num_nodes(), 0);
-  for (std::size_t t = 0; t < order.size(); ++t) {
-    const NodeId v = order[t];
-    if (v >= graph.num_nodes()) continue;
-    for (NodeId p : graph.parents(v)) timeline.uses_[p].push_back(t);
-  }
-  // Positions are visited in order, so each per-node list is already sorted.
-  return timeline;
+  return Build(graph.num_nodes(), [&](auto&& add) {
+    for (std::size_t t = 0; t < order.size(); ++t) {
+      const NodeId v = order[t];
+      if (v >= graph.num_nodes()) continue;
+      for (NodeId p : graph.parents(v)) add(p, t);
+    }
+  });
 }
 
 UseTimeline UseTimeline::OverMoves(const Graph& graph,
                                    const Schedule& schedule) {
-  UseTimeline timeline;
-  timeline.uses_.resize(graph.num_nodes());
-  timeline.cursor_.assign(graph.num_nodes(), 0);
-  for (std::size_t i = 0; i < schedule.size(); ++i) {
-    ForEachOperand(graph, schedule[i],
-                   [&](NodeId u) { timeline.uses_[u].push_back(i); });
-  }
-  return timeline;
+  return Build(graph.num_nodes(), [&](auto&& add) {
+    for (std::size_t i = 0; i < schedule.size(); ++i) {
+      ForEachOperand(graph, schedule[i], [&](NodeId u) { add(u, i); });
+    }
+  });
 }
 
 std::size_t UseTimeline::NextUseAt(NodeId v, std::size_t t) const {
   auto& c = cursor_[v];
-  const auto& uses = uses_[v];
-  while (c < uses.size() && uses[c] < t) ++c;
-  return c < uses.size() ? uses[c] : kNoUse;
+  const std::size_t end = offsets_[v + 1];
+  while (c < end && positions_[c] < t) ++c;
+  return c < end ? positions_[c] : kNoUse;
 }
 
 MoveRefCounts::MoveRefCounts(const Graph& graph, const Schedule& schedule)

@@ -4,8 +4,7 @@
 // shared by every consumer that used to answer it with an ad-hoc scan:
 //
 //   * UseTimeline     next-use distances over an ordered consumer sequence
-//                     (BeladyScheduler's eviction oracle, the lint engine's
-//                     dead-value detection).
+//                     (the Belady eviction rule's oracle).
 //   * MoveRefCounts   forward reference counts over a move sequence
 //                     (RepairSchedule's eviction policy).
 //   * MoveLiveness    def/use chains and live ranges over a move sequence
@@ -55,11 +54,16 @@ class UseTimeline {
   // timeline O(total uses) instead of O(uses * queries).
   std::size_t NextUseAt(NodeId v, std::size_t t) const;
 
-  std::span<const std::size_t> uses(NodeId v) const { return uses_[v]; }
-
  private:
-  std::vector<std::vector<std::size_t>> uses_;
-  mutable std::vector<std::size_t> cursor_;
+  // Calls for_each_use(add) twice, add(u, t) once per use of u at t with
+  // t nondecreasing: first to count the uses per node, then to record them
+  // in one array, node v's at positions_[offsets_[v], offsets_[v + 1]).
+  template <typename ForEachUse>
+  static UseTimeline Build(NodeId num_nodes, ForEachUse&& for_each_use);
+
+  std::vector<std::size_t> offsets_;
+  std::vector<std::size_t> positions_;
+  mutable std::vector<std::size_t> cursor_;  // index into positions_
 };
 
 // How often the remaining moves of a schedule mention each node — as a

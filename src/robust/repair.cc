@@ -8,15 +8,17 @@
 namespace wrbpg {
 namespace {
 
+// Hard cap on emitted moves, a safety valve against pathological inputs;
+// exceeding it makes the input irreparable.
+constexpr std::size_t kMaxOutputMoves = std::size_t{1} << 22;
+
 // Replays the input with edits. One instance per RepairSchedule call.
 class Repairer {
  public:
-  Repairer(const Graph& graph, Weight budget, const Schedule& input,
-           const RepairOptions& options)
+  Repairer(const Graph& graph, Weight budget, const Schedule& input)
       : graph_(graph),
         budget_(budget),
         input_(input),
-        options_(options),
         state_(graph),
         pinned_(graph.num_nodes(), 0),
         // refs_.remaining(v) counts how often the rest of the input still
@@ -77,10 +79,10 @@ class Repairer {
 
   // Appends a legal move to the output and applies it to the state.
   bool Emit(Move m) {
-    if (out_.size() >= options_.max_output_moves) {
+    if (out_.size() >= kMaxOutputMoves) {
       Fail(SimErrorCode::kNone, m.node,
-           "repair exceeded max_output_moves (" +
-               std::to_string(options_.max_output_moves) + ")");
+           "repair exceeded " + std::to_string(kMaxOutputMoves) +
+               " output moves");
       return false;
     }
     out_.push_back(m);
@@ -209,7 +211,6 @@ class Repairer {
   const Graph& graph_;
   const Weight budget_;
   const Schedule& input_;
-  const RepairOptions& options_;
 
   PebbleState state_;
   std::vector<int> pinned_;  // >0: excluded from eviction
@@ -235,8 +236,7 @@ const char* ToString(RepairStatus status) {
 }
 
 RepairResult RepairSchedule(const Graph& graph, Weight budget,
-                            const Schedule& input,
-                            const RepairOptions& options) {
+                            const Schedule& input) {
   SimResult sim = Simulate(graph, budget, input);
   if (sim.valid) {
     RepairResult result;
@@ -247,7 +247,7 @@ RepairResult RepairSchedule(const Graph& graph, Weight budget,
     return result;
   }
 
-  RepairResult result = Repairer(graph, budget, input, options).Run();
+  RepairResult result = Repairer(graph, budget, input).Run();
   if (result.status == RepairStatus::kRepaired &&
       !result.verification.valid) {
     // Defense in depth: a repair that fails re-simulation is reported as a

@@ -64,14 +64,9 @@ struct RepairResult {
   std::size_t moves_inserted = 0;
 };
 
-struct RepairOptions {
-  // Hard cap on emitted moves (safety valve against pathological inputs);
-  // exceeded => irreparable with a kBudgetExceeded-free diagnostic.
-  std::size_t max_output_moves = 1u << 22;
-};
-
+// Gives up (irreparable, with a kBudgetExceeded-free diagnostic) past
+// 2^22 emitted moves, a safety valve against pathological inputs.
 RepairResult RepairSchedule(const Graph& graph, Weight budget,
-                            const Schedule& input,
-                            const RepairOptions& options = {});
+                            const Schedule& input);
 
 }  // namespace wrbpg

@@ -362,7 +362,7 @@ RobustResult RobustScheduler::Run(Weight budget,
       const CancelToken* cancel = nullptr;
       CancelToken token;
       if (deadlined && stage.is_exact) {
-        const double slice = remaining_ms() * options.exact_fraction;
+        const double slice = remaining_ms() * 0.5;
         if (slice <= 0) {
           push_skipped(stage, "deadline already exhausted");
           continue;

@@ -67,12 +67,10 @@ struct StageReport {
 struct RobustOptions {
   // Total wall-clock deadline for the whole chain; <= 0 disables it. The
   // polynomial fallbacks always run, so a result is produced even if the
-  // deadline expired during earlier stages.
+  // deadline expired during earlier stages. A sequential chain grants the
+  // exact stage (the one that can hang) half of the remaining deadline;
+  // with no deadline it is bounded only by exact_max_states.
   double deadline_ms = 0;
-  // Fraction of the remaining deadline granted to the exact stage (it is
-  // the stage that can actually hang). With no deadline the exact stage
-  // is bounded only by exact_max_states.
-  double exact_fraction = 0.5;
   // With no deadline, the exact stage is skipped outright beyond this
   // many nodes (the search state space is exponential in n, and nothing
   // would bound the run). Under a deadline the node guard is moot — the
@@ -86,7 +84,7 @@ struct RobustOptions {
   // to the pool up front, so the deadline clock overlaps the exact search
   // with the heuristic fallbacks instead of paying for them back to back.
   // Because the fallbacks are then computed "for free", the exact stages
-  // get the full deadline rather than an exact_fraction slice. The chain's
+  // get the full deadline rather than half of what remains. The chain's
   // decision procedure is unchanged: stages are folded in chain order
   // after the pool drains, an exact win still reports later stages as
   // not-run (their speculative results are discarded), and with no

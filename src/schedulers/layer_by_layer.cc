@@ -1,134 +1,30 @@
 #include "schedulers/layer_by_layer.h"
 
-#include <algorithm>
-#include <cassert>
-#include <deque>
-
-#include "core/analysis.h"
-
 namespace wrbpg {
+namespace {
 
-LayerByLayerScheduler::LayerByLayerScheduler(
-    const Graph& graph, std::vector<std::vector<NodeId>> layers,
-    bool alternate)
-    : graph_(graph), layers_(std::move(layers)), alternate_(alternate) {
-  assert(!layers_.empty());
-#ifndef NDEBUG
-  std::size_t covered = 0;
-  for (const auto& layer : layers_) covered += layer.size();
-  assert(covered == graph_.num_nodes());
-  for (NodeId v : layers_[0]) assert(graph_.is_source(v));
-#endif
-}
-
-ScheduleResult LayerByLayerScheduler::Run(Weight budget) const {
-  ScheduleResult result;
-  Schedule& s = result.schedule;
-
-  const NodeId n = graph_.num_nodes();
-  std::vector<unsigned char> red(n, 0);
-  std::vector<unsigned char> blue(n, 0);
-  std::vector<unsigned char> pinned(n, 0);
-  std::vector<std::size_t> remaining(n);
-  for (NodeId v : graph_.sources()) blue[v] = 1;
-  for (NodeId v = 0; v < n; ++v) remaining[v] = graph_.out_degree(v);
-
-  Weight red_weight = 0;
-  Weight cost = 0;
-  // FIFO of resident values in placement order; stale entries (already
-  // deleted) are skipped lazily.
-  std::deque<NodeId> fifo;
-
-  auto place_red = [&](NodeId v) {
-    red[v] = 1;
-    red_weight += graph_.weight(v);
-    fifo.push_back(v);
-  };
-  auto drop_red = [&](NodeId v) {
-    s.Append(Delete(v));
-    red[v] = 0;
-    red_weight -= graph_.weight(v);
-  };
-  // Spill resident, still-needed values in FIFO order until `w` more bits
-  // fit. Returns false when everything left is pinned (infeasible budget).
-  auto make_room = [&](Weight w) {
-    std::size_t skipped = 0;
-    while (red_weight + w > budget) {
-      if (skipped >= fifo.size()) return false;
-      const NodeId victim = fifo.front();
-      fifo.pop_front();
-      if (!red[victim]) continue;  // stale entry
-      if (pinned[victim]) {
-        fifo.push_back(victim);
-        ++skipped;
-        continue;
-      }
-      if (!blue[victim]) {
-        s.Append(Store(victim));
-        blue[victim] = 1;
-        cost += graph_.weight(victim);
-      }
-      drop_red(victim);
-    }
-    return true;
-  };
-
-  for (std::size_t li = 1; li < layers_.size(); ++li) {
-    std::vector<NodeId> order = layers_[li];
-    // S_2 ascending, then alternate direction per layer.
-    if (alternate_ && li % 2 == 0) std::reverse(order.begin(), order.end());
-
-    for (NodeId v : order) {
-      const auto parents = graph_.parents(v);
-      pinned[v] = 1;
-      for (NodeId p : parents) pinned[p] = 1;
-
-      for (NodeId p : parents) {
-        if (red[p]) continue;
-        assert(blue[p] && "needed value was deleted without a store");
-        if (!make_room(graph_.weight(p))) return ScheduleResult::Infeasible();
-        s.Append(Load(p));
-        cost += graph_.weight(p);
-        place_red(p);
-      }
-      if (!make_room(graph_.weight(v))) return ScheduleResult::Infeasible();
-      s.Append(Compute(v));
-      place_red(v);
-
-      pinned[v] = 0;
-      for (NodeId p : parents) pinned[p] = 0;
-
-      // Eagerly retire values with no pending children.
-      for (NodeId p : parents) {
-        assert(remaining[p] > 0);
-        if (--remaining[p] == 0 && red[p]) drop_red(p);
-      }
-      if (graph_.is_sink(v)) {
-        s.Append(Store(v));
-        blue[v] = 1;
-        cost += graph_.weight(v);
-        drop_red(v);
-      }
+// Layers 1.. in index order; with `alternate`, S_2 ascends and the
+// direction flips per layer.
+std::vector<NodeId> LayerOrder(const std::vector<std::vector<NodeId>>& layers,
+                               bool alternate) {
+  std::vector<NodeId> order;
+  for (std::size_t li = 1; li < layers.size(); ++li) {
+    const auto& layer = layers[li];
+    if (alternate && li % 2 == 0) {
+      order.insert(order.end(), layer.rbegin(), layer.rend());
+    } else {
+      order.insert(order.end(), layer.begin(), layer.end());
     }
   }
-
-  result.feasible = true;
-  result.cost = cost;
-  return result;
+  return order;
 }
 
-Weight LayerByLayerScheduler::CostOnly(Weight budget) const {
-  const ScheduleResult r = Run(budget);
-  return r.feasible ? r.cost : kInfiniteCost;
-}
+}  // namespace
 
-Weight LayerByLayerScheduler::MinMemoryForLowerBound(Weight step,
-                                                     Weight hi) const {
-  const Weight target = AlgorithmicLowerBound(graph_);
-  const auto found = FindMinimumFastMemory(
-      [this](Weight b) { return CostOnly(b); }, target,
-      {.lo = step, .hi = hi, .step = step, .monotone = false});
-  return found.value_or(0);
-}
+LayerByLayerScheduler::LayerByLayerScheduler(
+    const Graph& graph, const std::vector<std::vector<NodeId>>& layers,
+    bool alternate)
+    : EvictionScheduler(graph, LayerOrder(layers, alternate),
+                        Rule::kFirstPlaced) {}
 
 }  // namespace wrbpg

@@ -3,10 +3,11 @@
 // Traverses the graph layer after layer; within a layer, nodes are scheduled
 // in index order, alternating ascending/descending direction between layers
 // (the paper's optimization that retains recently computed values across
-// adjacent layers). When placing a pebble would exceed the fast-memory
-// budget, resident values that still have pending children are spilled to
-// slow memory in FIFO order of their placement; values whose children are
-// all computed are deleted eagerly (outputs are stored first).
+// adjacent layers). It is the eviction list scheduler of belady.h with the
+// FIFO rule: when placing a pebble would exceed the fast-memory budget,
+// resident values that still have pending children are spilled to slow
+// memory in the order they were placed; values whose children are all
+// computed are deleted eagerly (outputs are stored first).
 //
 // Works on any layered CDAG description (layers[0] = the input layer) and
 // produces a valid schedule for every budget >= MinValidBudget.
@@ -15,30 +16,18 @@
 #include <vector>
 
 #include "core/graph.h"
-#include "schedulers/scheduler.h"
+#include "schedulers/belady.h"
 
 namespace wrbpg {
 
-class LayerByLayerScheduler {
+class LayerByLayerScheduler : public EvictionScheduler {
  public:
   // `layers` partitions the node set; layers[0] must be exactly the sources.
   // `alternate` toggles the direction alternation (kept for the ablation
   // study; the paper's baseline uses true).
   LayerByLayerScheduler(const Graph& graph,
-                        std::vector<std::vector<NodeId>> layers,
+                        const std::vector<std::vector<NodeId>>& layers,
                         bool alternate = true);
-
-  ScheduleResult Run(Weight budget) const;
-  Weight CostOnly(Weight budget) const;
-
-  // Definition 2.6 scan. The heuristic's cost is not provably monotone in
-  // the budget, so this scans linearly upward in `step` increments.
-  Weight MinMemoryForLowerBound(Weight step, Weight hi) const;
-
- private:
-  const Graph& graph_;
-  std::vector<std::vector<NodeId>> layers_;
-  bool alternate_;
 };
 
 }  // namespace wrbpg

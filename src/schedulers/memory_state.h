@@ -59,11 +59,6 @@ class MemoryStateScheduler {
   // required_red_at_end = R | {target}, require_sinks_blue = false}.
   ScheduleResult Run(NodeId target, Weight budget, const MemoryState& state);
 
-  // Node masks for convenience: the predecessor closure pred(v) | {v}.
-  std::uint64_t SubtreeMask(NodeId v) const {
-    return subtree_mask_[v];
-  }
-
  private:
   struct Entry {
     Weight cost = kInfiniteCost;
