@@ -7,10 +7,12 @@
 //   2. Fallback latency — when the exact stage is skipped or times out,
 //      the chain's overhead on top of the winning heuristic must be small.
 // `bench_robust --robust-report [--json <path>]` instead runs the fallback
-// chain once per representative instance (DWT with the exact stage live, a
-// random DAG with exact disabled, a deadline-cancelled run) and emits the
-// per-stage provenance — winner, outcome, elapsed — as a wrbpg-obs-v1
-// document with the chain's spans and counters attached.
+// chain once per representative instance (a DWT recognition answers, a
+// small random DAG the exact stage proves, a random DAG with exact
+// disabled, a deadline-cancelled run, and a bare 12,286-node DWT under a
+// 50 ms deadline) and emits the per-stage provenance — winner, outcome,
+// elapsed — as a wrbpg-obs-v1 document with the chain's spans and
+// counters attached.
 #include <benchmark/benchmark.h>
 
 #include <iostream>
@@ -28,6 +30,7 @@
 #include "schedulers/belady.h"
 #include "schedulers/dwt_optimal.h"
 #include "schedulers/layer_by_layer.h"
+#include "tests/permute_graph.h"
 #include "util/cli.h"
 #include "util/rng.h"
 
@@ -188,11 +191,21 @@ int RunRobustReport(const CliArgs& args) {
   obs::Json json_rows = obs::Json::Array();
 
   {
-    // Small DWT: the exact stage runs and wins.
+    // Small DWT: recognition routes it to Algorithm 1, which wins.
     const DwtGraph dwt = BuildDwt(8, 2);
     const Weight budget = MinValidBudget(dwt.graph) + 2;
-    ReportChain("dwt(8,2)+exact",
-                RobustScheduler(dwt).Run(budget, {}), json_rows);
+    ReportChain("dwt(8,2)+recognition",
+                RobustScheduler(dwt.graph).Run(budget, {}), json_rows);
+  }
+  {
+    // Small random DAG no family matches: the exact stage runs and wins.
+    Rng rng(0x5eedu);
+    const Graph dag = BuildRandomDag(rng, {.num_layers = 4,
+                                           .nodes_per_layer = 4,
+                                           .max_in_degree = 2});
+    ReportChain("dag(4x4)+exact",
+                RobustScheduler(dag).Run(MinValidBudget(dag) + 8, {}),
+                json_rows);
   }
   {
     // Random DAG with the exact stage disabled: a heuristic must win.
@@ -220,6 +233,19 @@ int RunRobustReport(const CliArgs& args) {
     ReportChain("dag(6x4)-deadline-5ms",
                 RobustScheduler(dag).Run(MinValidBudget(dag) + 32, options),
                 json_rows);
+  }
+  {
+    // A relabeled dwt(4096,12) (12,286 nodes) under a 50 ms deadline on
+    // one thread: the un-deadlined pre-stage (certificates, recognition)
+    // must leave recognition's half of the rest long enough for
+    // Algorithm 1 to return the optimum, 131,168 bits.
+    const Graph bare =
+        testing::PermuteGraph(BuildDwt(4096, 12).graph, 0x5eedu);
+    RobustOptions options;
+    options.deadline_ms = 50;
+    options.threads = 1;
+    ReportChain("bare dwt(4096,12)@50ms",
+                RobustScheduler(bare).Run(200, options), json_rows);
   }
 
   if (!json_path.empty()) {

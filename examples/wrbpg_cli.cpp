@@ -17,7 +17,8 @@
 //       (the anytime contract, DESIGN.md §11). --memory-cap-mb bounds the
 //       search's container bytes the same way. Without --engine,
 //       --deadline-ms (or --algo robust) runs the deadline-aware fallback
-//       chain (exact -> belady -> greedy) and reports per-stage provenance.
+//       chain (recognition -> exact -> belady -> greedy-topo) and reports
+//       per-stage provenance.
 //   wrbpg_cli validate <graph> <schedule.txt> --budget <bits>
 //       replay a schedule through the simulator and report cost/peak.
 //   wrbpg_cli repair <graph> <schedule.txt> --budget <bits>
@@ -36,8 +37,9 @@
 //       error-severity diagnostic fires.
 //   wrbpg_cli profile <graph> [--budget <bits>]
 //       run a representative workload (budget sweep, structure-specific DP
-//       when the graph is a builtin, the robust fallback chain) and print
-//       the observability report: timing-span tree, counters, gauges.
+//       when the graph is a builtin, the bb engine, the robust fallback
+//       chain) and print the observability report: timing-span tree,
+//       counters, gauges.
 //       Defaults the budget to MinValidBudget + 2 so every stage has work.
 //   wrbpg_cli analyze <graph> [--budget <bits>] [--json]
 //       run the static graph analyzer (DESIGN.md §12): canonical hash and
@@ -354,9 +356,9 @@ ScheduleParseResult LoadScheduleArg(const std::string& path) {
 
 // The `profile` verb: exercise every instrumented layer once — a Belady
 // budget sweep through the infeasible band (analysis counters), the
-// structure-specific DP when the graph is a builtin (memo counters), and
-// the robust fallback chain (exact search + simulator verification +
-// per-stage spans) — then print the observability report.
+// structure-specific DP when the graph is a builtin (memo counters), the
+// bb engine (search counters), and the robust fallback chain (simulator
+// verification + per-stage spans) — then print the observability report.
 int RunProfile(const CliArgs& args, const LoadedGraph& loaded,
                Weight budget) {
   const Graph& graph = loaded.graph();
@@ -400,9 +402,29 @@ int RunProfile(const CliArgs& args, const LoadedGraph& loaded,
   const double deadline_ms = args.GetDouble("deadline-ms", 0);
   RobustOptions options;
   options.deadline_ms = deadline_ms;
-  const RobustResult robust =
-      loaded.dwt() ? RobustScheduler(*loaded.dwt()).Run(budget, options)
-                   : RobustScheduler(graph).Run(budget, options);
+  // The bb engine itself, so the search layer reports even when the chain
+  // below answers before its exact stage. Bounded as that stage is: by
+  // the deadline, or else by the graph's size.
+  if (deadline_ms > 0 || graph.num_nodes() <= options.exact_max_nodes) {
+    BruteForceOptions bf;
+    bf.engine = SearchEngine::kBranchAndBound;
+    CancelToken token;
+    if (deadline_ms > 0) {
+      token = CancelToken::WithDeadlineMs(deadline_ms);
+      bf.cancel = &token;
+    }
+    const ScheduleResult bb = BruteForceScheduler(graph).Run(budget, bf);
+    std::cerr << "bb: "
+              << (bb.feasible ? "cost=" + std::to_string(bb.cost) +
+                                    " lb=" + std::to_string(bb.lower_bound) +
+                                    " gap=" +
+                                    std::to_string(bb.optimality_gap) +
+                                    " termination=" +
+                                    ToString(bb.termination)
+                              : std::string("infeasible"))
+              << "\n";
+  }
+  const RobustResult robust = RobustScheduler(graph).Run(budget, options);
   std::cerr << "robust chain: "
             << (robust.result.feasible
                     ? "winner=" + robust.winner + " cost=" +
@@ -878,8 +900,7 @@ int RunVerb(const CliArgs& args) {
       RobustOptions options;
       options.deadline_ms = deadline_ms;
       const RobustResult robust =
-          loaded.dwt() ? RobustScheduler(*loaded.dwt()).Run(budget, options)
-                       : RobustScheduler(graph).Run(budget, options);
+          RobustScheduler(graph).Run(budget, options);
       for (const StageReport& stage : robust.stages) {
         std::cerr << "stage " << stage.name << ": "
                   << ToString(stage.outcome);

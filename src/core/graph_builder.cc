@@ -53,12 +53,19 @@ GraphBuilder::BuildResult GraphBuilder::Build(
   BuildResult result;
   const NodeId n = num_nodes();
 
+  Weight total = 0;
   for (NodeId v = 0; v < n; ++v) {
     if (weights_[v] <= 0) {
       result.error = "node " + std::to_string(v) + " has non-positive weight " +
                      std::to_string(weights_[v]);
       return result;
     }
+    if (weights_[v] > kMaxTotalWeight - total) {
+      result.error = "node " + std::to_string(v) +
+                     " takes the total weight past the limit of 2^40 bits";
+      return result;
+    }
+    total += weights_[v];
   }
 
   Graph g;
@@ -67,8 +74,7 @@ GraphBuilder::BuildResult GraphBuilder::Build(
     g.names_ = names_;
     g.names_.resize(n);
   }
-  g.total_weight_ = 0;
-  for (Weight w : weights_) g.total_weight_ += w;
+  g.total_weight_ = total;
 
   // CSR adjacency via counting sort over the edge list; the endpoint
   // checks ride the counting pass.

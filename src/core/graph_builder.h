@@ -1,7 +1,8 @@
 // Mutable builder producing validated, immutable Graphs.
 //
 // Build() enforces the WRBPG model preconditions from Sec 2.1: positive
-// weights, no self-loops, no duplicate edges, acyclicity, and (optionally)
+// weights summing to at most kMaxTotalWeight (core/types.h), no
+// self-loops, no duplicate edges, acyclicity, and (optionally)
 // A(G) ∩ Z(G) = ∅ — the paper assumes sources and sinks are disjoint, but
 // single-node graphs are useful in tests, so the check can be relaxed.
 //

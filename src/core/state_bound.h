@@ -187,8 +187,8 @@ class StateBound {
   // budget-aware generalization of AlgorithmicLowerBound. Used by the
   // analysis layer to tighten budget-scan bands and as the anytime
   // engine's day-zero lower bound. The scratch overload reuses a
-  // caller-owned buffer on the wide path (speculative robust-chain
-  // stages call this repeatedly).
+  // caller-owned buffer on the wide path; no library caller needs it,
+  // but the repository benchmark (perfbench) times the call through it.
   Weight StartBound() const;
   Weight StartBound(WideScratch& scratch) const;
 

@@ -58,7 +58,7 @@ enum class ExploreScheduler : std::uint8_t {
   // Branch-and-bound run to its state/byte caps: deterministic at any
   // thread count (no wall clock involved), certified gap on interruption.
   kBranchAndBound = 0,
-  // Full robust chain (recognition -> exact -> DPs -> heuristics) under a
+  // Full robust chain (recognition -> exact -> heuristics) under a
   // per-point deadline slice: bounded latency on any graph, but which
   // stage answers is wall-clock-dependent when deadline_ms > 0.
   kRobustChain,

@@ -81,7 +81,7 @@ DwtOptimalScheduler::Entry DwtOptimalScheduler::P(NodeId v, Weight b) {
   const Weight w2 = g.weight(p2);
 
   Entry best;
-  if (cancel_ != nullptr && cancel_->cancelled()) {
+  if (cancel_.cancelled()) {
     // Unwind without memoizing: entries derived from cancelled children
     // would record spurious infinite costs. Cancellation is monotone, so
     // nothing computed after this point is cached either.
@@ -111,7 +111,7 @@ DwtOptimalScheduler::Entry DwtOptimalScheduler::P(NodeId v, Weight b) {
   }
   // A child evaluated above may have unwound on cancellation and reported
   // a spurious infinite cost; re-check before caching.
-  if (cancel_ != nullptr && cancel_->cancelled()) return best;
+  if (cancel_.latched()) return best;
   node_memo.emplace(b, best);
   return best;
 }
@@ -174,17 +174,18 @@ void DwtOptimalScheduler::Generate(NodeId v, Weight b, Schedule& out) const {
 
 Weight DwtOptimalScheduler::CostOnly(Weight budget,
                                      const CancelToken* cancel) {
-  cancel_ = cancel;
+  cancel_ = CancelPoller(cancel);
   Weight total = coefficient_weight_total_;
   for (NodeId root : roots_) {
     const Entry e = P(root, budget);
-    if (e.cost >= kInfiniteCost) {
-      cancel_ = nullptr;
+    // An unwound recursion may report a finite but too-high cost.
+    if (e.cost >= kInfiniteCost || cancel_.latched()) {
+      cancel_ = CancelPoller();
       return kInfiniteCost;
     }
     total += e.cost + dwt_.graph.weight(root);
   }
-  cancel_ = nullptr;
+  cancel_ = CancelPoller();
   return total;
 }
 

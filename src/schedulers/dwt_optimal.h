@@ -56,7 +56,7 @@ class DwtOptimalScheduler {
   void Generate(NodeId v, Weight b, Schedule& out) const;
 
   const DwtGraph& dwt_;
-  const CancelToken* cancel_ = nullptr;  // active only during Run/CostOnly
+  CancelPoller cancel_;  // active only during Run/CostOnly
   std::vector<NodeId> sibling_;  // average -> its coefficient sibling
   std::vector<NodeId> roots_;    // final averages, the pruned trees' sinks
   Weight coefficient_weight_total_ = 0;  // sum over all coefficient nodes

@@ -65,6 +65,9 @@ KaryTreeScheduler::Entry KaryTreeScheduler::P(NodeId v, Weight b) {
   const int k = static_cast<int>(parents.size());
 
   Entry best;
+  // Unwind without memoizing, as the DWT DP does: entries derived from
+  // cancelled children would record spurious costs.
+  if (cancel_.cancelled()) return best;
   Weight need = graph_.weight(v);
   for (NodeId p : parents) need += graph_.weight(p);
   if (need <= b) {
@@ -98,6 +101,7 @@ KaryTreeScheduler::Entry KaryTreeScheduler::P(NodeId v, Weight b) {
       }
     } while (std::next_permutation(order.begin(), order.begin() + k));
   }
+  if (cancel_.latched()) return best;
   node_memo.emplace(b, best);
   return best;
 }
@@ -137,14 +141,23 @@ void KaryTreeScheduler::Generate(NodeId v, Weight b, Schedule& out) const {
   for (NodeId p : parents) out.Append(Delete(p));
 }
 
-Weight KaryTreeScheduler::CostOnly(Weight budget) {
+Weight KaryTreeScheduler::CostOnly(Weight budget,
+                                   const CancelToken* cancel) {
+  cancel_ = CancelPoller(cancel);
   const Entry e = P(root_, budget);
-  if (e.cost >= kInfiniteCost) return kInfiniteCost;
+  // An unwound recursion may report a finite but too-high cost.
+  const bool unwound = cancel_.latched();
+  cancel_ = CancelPoller();
+  if (e.cost >= kInfiniteCost || unwound) return kInfiniteCost;
   return e.cost + graph_.weight(root_);
 }
 
-ScheduleResult KaryTreeScheduler::Run(Weight budget) {
-  const Weight cost = CostOnly(budget);
+ScheduleResult KaryTreeScheduler::Run(Weight budget,
+                                      const CancelToken* cancel) {
+  const Weight cost = CostOnly(budget, cancel);
+  if (cancel != nullptr && cancel->cancelled()) {
+    return ScheduleResult::TimedOut();
+  }
   if (cost >= kInfiniteCost) return ScheduleResult::Infeasible();
   ScheduleResult result;
   result.feasible = true;

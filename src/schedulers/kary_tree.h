@@ -22,6 +22,7 @@
 
 #include "core/graph.h"
 #include "schedulers/scheduler.h"
+#include "util/cancel.h"
 
 namespace wrbpg {
 
@@ -32,8 +33,11 @@ class KaryTreeScheduler {
   explicit KaryTreeScheduler(const Graph& graph);
 
   // Full game: pebbles the tree and blue-pebbles the root sink.
-  ScheduleResult Run(Weight budget);
-  Weight CostOnly(Weight budget);
+  // `cancel`, when given, is polled inside the DP recursion; an expired
+  // token makes Run return a timed_out result (CostOnly: kInfiniteCost)
+  // without polluting the memo with partial entries.
+  ScheduleResult Run(Weight budget, const CancelToken* cancel = nullptr);
+  Weight CostOnly(Weight budget, const CancelToken* cancel = nullptr);
 
   // Definition 2.6 search over multiples of `step`, exploiting monotonicity.
   Weight MinMemoryForLowerBound(Weight step, Weight hi);
@@ -53,6 +57,7 @@ class KaryTreeScheduler {
   void Generate(NodeId v, Weight b, Schedule& out) const;
 
   const Graph& graph_;
+  CancelPoller cancel_;  // active only during Run/CostOnly
   NodeId root_ = kInvalidNode;
   std::vector<std::unordered_map<Weight, Entry>> memo_;
 };

@@ -3,8 +3,8 @@
 //
 // The pool is the substrate for the parallel exact-search engine (see
 // DESIGN.md §8): brute-force frontier expansion, the analysis budget
-// sweeps, and RobustScheduler's speculative fallback chain all fan work
-// out here. Three properties the search engine relies on:
+// sweeps, the explorer's budget grid and the service's batches all fan
+// work out here. Three properties the search engine relies on:
 //
 //   * Exceptions thrown inside a task propagate to the waiter. The first
 //     exception raised by a task in a TaskGroup (or, for bare Submit, in

@@ -314,12 +314,32 @@ TEST(BinIo, RejectsModelViolations) {
   cycle.U32(0).U32(1).U32(1).U32(2).U32(2).U32(0);
   EXPECT_FALSE(ParseGraphBinary(cycle.Finish()).ok);
 
+  // Total weight past kMaxTotalWeight (three 2^62 - 1 weights).
+  SpecEncoder heavy(kBinKindGraph);
+  heavy.U32(3).U32(2);
+  for (int v = 0; v < 3; ++v) heavy.U64((std::uint64_t{1} << 62) - 1);
+  heavy.U8(0).U32(0).U32(2).U32(1).U32(2);
+  r = ParseGraphBinary(heavy.Finish());
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("2^40"), std::string::npos) << r.error;
+
   // Invalid move type.
   SpecEncoder bad_move(kBinKindSchedule);
   bad_move.U32(1).U8(9).U32(0);
   const ScheduleParseResult s = ParseScheduleBinary(bad_move.Finish());
   EXPECT_FALSE(s.ok);
   EXPECT_NE(s.error.find("invalid type"), std::string::npos);
+}
+
+TEST(BinIo, AcceptsTotalWeightAtTheLimit) {
+  SpecEncoder at_limit(kBinKindGraph);
+  at_limit.U32(3).U32(2);
+  at_limit.U64(std::uint64_t{1} << 38).U64(std::uint64_t{1} << 38);
+  at_limit.U64(std::uint64_t{1} << 39).U8(0);
+  at_limit.U32(0).U32(2).U32(1).U32(2);
+  const GraphParseResult r = ParseGraphBinary(at_limit.Finish());
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.graph.total_weight(), kMaxTotalWeight);
 }
 
 TEST(BinIo, RejectsBadVersionAndReserved) {

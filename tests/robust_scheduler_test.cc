@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 
 #include "core/analysis.h"
@@ -15,6 +17,7 @@
 #include "dataflows/dwt_graph.h"
 #include "dataflows/random_dag.h"
 #include "dataflows/tree_graph.h"
+#include "obs/metrics.h"
 #include "obs/span.h"
 #include "robust/robust_scheduler.h"
 #include "schedulers/brute_force.h"
@@ -104,6 +107,26 @@ TEST(CancelToken, DwtDpUnwindsAndStaysCorrectAfterCancellation) {
   // A cancelled run must not have polluted the memo tables: the same
   // scheduler instance still produces the honest answer afterwards.
   EXPECT_EQ(sched.CostOnly(budget), honest);
+}
+
+// Both DPs read their token's clock on one memo miss in 64. A deadline
+// that expires while they recurse still unwinds them to kInfiniteCost (no
+// finite cost from a half-evaluated recursion), and each instance stays
+// honest afterwards.
+TEST(CancelToken, DpsHonorADeadlineThatExpiresMidRun) {
+  const DwtGraph dwt = BuildDwt(4096, 12);
+  DwtOptimalScheduler dwt_dp(dwt);
+  const CancelToken dwt_token = CancelToken::WithDeadlineMs(0.5);
+  EXPECT_EQ(dwt_dp.CostOnly(200, &dwt_token), kInfiniteCost);
+  EXPECT_TRUE(dwt_dp.Run(200, &dwt_token).timed_out);
+  EXPECT_EQ(dwt_dp.CostOnly(200), 131168);
+
+  const Graph tree = BuildPerfectTree(2, 12).graph;
+  KaryTreeScheduler kary_dp(tree);
+  const CancelToken kary_token = CancelToken::WithDeadlineMs(0.5);
+  EXPECT_EQ(kary_dp.CostOnly(112, &kary_token), kInfiniteCost);
+  EXPECT_TRUE(kary_dp.Run(112, &kary_token).timed_out);
+  EXPECT_EQ(kary_dp.CostOnly(112), 69616);
 }
 
 TEST(RobustScheduler, ExactStageWinsOnSmallGraphs) {
@@ -202,15 +225,16 @@ TEST(RobustScheduler, InterruptedExactStageReportsAnytimeIncumbent) {
   EXPECT_LT(exact->cost, kInfiniteCost);
 }
 
+// A DWT caller hands over the plain graph like everyone else: recognition
+// is the chain's one route to Algorithm 1, and its proven optimum ends the
+// chain before the exact stage.
 TEST(RobustScheduler, DwtChainLetsAlgorithmOneWin) {
   const DwtGraph dwt = BuildDwt(64, 2);
   const Weight budget = MinValidBudget(dwt.graph) + 8;
-  RobustOptions options;
-  options.exact_max_nodes = 0;  // skip brute force; DWT DP should win
-  const RobustResult r = RobustScheduler(dwt).Run(budget, options);
+  const RobustResult r = RobustScheduler(dwt.graph).Run(budget);
   ASSERT_TRUE(r.result.feasible);
-  EXPECT_EQ(r.stage("exact")->outcome, StageOutcome::kSkipped);
-  EXPECT_EQ(r.winner, "dwt-optimal");
+  EXPECT_EQ(r.winner, "recognition");
+  EXPECT_EQ(r.stage("exact")->outcome, StageOutcome::kNotRun);
   EXPECT_EQ(r.result.cost,
             DwtOptimalScheduler(dwt).CostOnly(budget));
   testing::ExpectValid(dwt.graph, budget, r.result.schedule);
@@ -252,9 +276,9 @@ TEST(RobustScheduler, RecognitionStageWinsOnUnlabeledDwtGraph) {
 }
 
 // A bare, relabeled dwt(1024,10) under a 500 ms deadline: the pre-stage
-// (certificates, start bound, recognition) runs outside the deadline, so
-// it must stay cheap enough for the recognized DWT's DP to finish inside
-// the deadline and win with the proven optimum.
+// (certificates, recognition) runs outside the deadline, so it must stay
+// cheap enough for the recognized DWT's DP to finish inside the deadline
+// and win with the proven optimum.
 TEST(RobustScheduler, RecognitionWinsOnLargePermutedDwtUnderDeadline) {
   const DwtGraph dwt = BuildDwt(1024, 10);
   const Graph bare = testing::PermuteGraph(dwt.graph, 0x5eedu);
@@ -288,23 +312,38 @@ TEST(RobustScheduler, PreStageWorkHasSpansUnderRobustRun) {
       child(child(obs::SnapshotSpans(), "robust.run"), "robust.prestage");
   EXPECT_GE(prestage.count, 1u);
   for (const char* name :
-       {"robust.prestage.certified_bound", "robust.prestage.start_bound",
-        "robust.prestage.recognize"}) {
+       {"robust.prestage.certified_bound", "robust.prestage.recognize"}) {
     EXPECT_GE(child(prestage, name).count, 1u) << name;
   }
 }
 
-// When the caller hands over the DwtGraph wrapper, recognition defers to
-// the dedicated dwt-optimal stage instead of duplicating its work.
-TEST(RobustScheduler, RecognitionDefersWhenCallerNamesTheFamily) {
-  const DwtGraph dwt = BuildDwt(16, 2);
-  const Weight budget = MinValidBudget(dwt.graph) + 2;
-  RobustOptions options;
-  options.exact_max_nodes = 0;
-  const RobustResult r = RobustScheduler(dwt).Run(budget, options);
-  ASSERT_TRUE(r.result.feasible);
-  EXPECT_EQ(r.stage("recognition")->outcome, StageOutcome::kSkipped);
-  EXPECT_EQ(r.winner, "dwt-optimal");
+// The chain runs its stages one after another at any thread count, so a
+// proven answer ends it at once: the 2 s deadline is never waited out,
+// and no later stage — not even the exact stage's search — starts.
+TEST(RobustScheduler, ProvenAnswerEndsTheChainAtAnyThreadCount) {
+  const Graph bare =
+      testing::PermuteGraph(BuildPerfectTree(2, 4).graph, 0x7a11u);
+  const Weight budget = MinValidBudget(bare);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    RobustOptions options;
+    options.deadline_ms = 2000;
+    options.threads = threads;
+    const std::uint64_t searches = obs::ReadMetric("search.runs");
+    const auto start = std::chrono::steady_clock::now();
+    const RobustResult r = RobustScheduler(bare).Run(budget, options);
+    const double elapsed_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    ASSERT_TRUE(r.result.feasible) << threads;
+    EXPECT_EQ(r.winner, "recognition") << threads;
+    for (const char* later : {"exact", "belady", "greedy-topo"}) {
+      EXPECT_EQ(r.stage(later)->outcome, StageOutcome::kNotRun)
+          << later << " at " << threads << " threads";
+    }
+    EXPECT_EQ(obs::ReadMetric("search.runs"), searches) << threads;
+    EXPECT_LT(elapsed_ms, 1000.0) << threads;
+  }
 }
 
 TEST(RobustScheduler, HeuristicsBeatNothingButStillReportCandidates) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/serialize.h"
 #include "dataflows/random_dag.h"
 #include "tests/test_helpers.h"
@@ -131,6 +133,32 @@ TEST(Serialize, ParseRejectsNonPositiveWeights) {
   const auto r = ParseGraphText("wrbpg-graph v1\nnode 0 -3\n");
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("positive"), std::string::npos) << r.error;
+}
+
+// Three 2^62 - 1 weights overflow a 64-bit total. The builder refuses a
+// total past kMaxTotalWeight (2^40 bits) and names the node that crosses
+// it; a total of exactly 2^40 is admitted.
+TEST(Serialize, ParseEnforcesTheTotalWeightLimit) {
+  auto three_nodes = [](const std::string& w0, const std::string& w1,
+                        const std::string& w2) {
+    return "wrbpg-graph v1\nnode 0 " + w0 + "\nnode 1 " + w1 + "\nnode 2 " +
+           w2 + "\nedge 0 2\nedge 1 2\n";
+  };
+  const std::string huge = "4611686018427387903";
+  auto r = ParseGraphText(three_nodes(huge, huge, huge));
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("node 0"), std::string::npos) << r.error;
+  EXPECT_NE(r.error.find("2^40"), std::string::npos) << r.error;
+
+  r = ParseGraphText(
+      three_nodes("274877906944", "274877906944", "549755813889"));
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("node 2"), std::string::npos) << r.error;
+
+  r = ParseGraphText(
+      three_nodes("274877906944", "274877906944", "549755813888"));
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_EQ(r.graph.total_weight(), kMaxTotalWeight);
 }
 
 TEST(Serialize, ParseRejectsSelfLoopWithLineNumber) {
