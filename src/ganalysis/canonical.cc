@@ -336,17 +336,19 @@ bool IsIsomorphismMap(const Graph& a, const Graph& b,
     hit[map[v]] = 1;
     if (a.weight(v) != b.weight(map[v])) return false;
   }
+  // Parent rows hold no repeats (Build rejects duplicate edges) and the
+  // map is injective, so two rows of equal size are equal as sets once
+  // every mapped a-parent is in the b-row: stamp the b-row with v, then
+  // look each mapped a-parent up.
+  std::vector<NodeId> stamp(n, kInvalidNode);
   for (NodeId v = 0; v < n; ++v) {
     const auto pa = a.parents(v);
     const auto pb = b.parents(map[v]);
     if (pa.size() != pb.size()) return false;
-    std::vector<NodeId> mapped;
-    mapped.reserve(pa.size());
-    for (NodeId p : pa) mapped.push_back(map[p]);
-    std::sort(mapped.begin(), mapped.end());
-    std::vector<NodeId> target(pb.begin(), pb.end());
-    std::sort(target.begin(), target.end());
-    if (mapped != target) return false;
+    for (const NodeId q : pb) stamp[q] = v;
+    for (const NodeId p : pa) {
+      if (stamp[map[p]] != v) return false;
+    }
   }
   return true;
 }
@@ -373,18 +375,31 @@ std::optional<std::vector<NodeId>> AlignLabelings(
 
 }  // namespace
 
-std::optional<std::vector<NodeId>> FindIsomorphism(const Graph& a,
-                                                   const Graph& b) {
+std::vector<std::uint32_t> IsomorphismLabeling(const Graph& graph) {
+  if (graph.num_nodes() == 0) return {};
+  return DeterministicLabeling(Refiner(graph));
+}
+
+std::optional<std::vector<NodeId>> FindIsomorphism(
+    const Graph& a, const std::vector<std::uint32_t>& a_labeling,
+    const Graph& b) {
   const NodeId n = a.num_nodes();
-  if (b.num_nodes() != n || a.num_edges() != b.num_edges()) {
+  if (b.num_nodes() != n || a.num_edges() != b.num_edges() ||
+      a_labeling.size() != n) {
     return std::nullopt;
   }
-  if (n == 0) return std::vector<NodeId>{};
-  const auto la = DeterministicLabeling(Refiner(a));
-  const auto lb = DeterministicLabeling(Refiner(b));
-  auto map = AlignLabelings(la, lb, n);
+  auto map = AlignLabelings(a_labeling, IsomorphismLabeling(b), n);
   if (!map || !IsIsomorphismMap(a, b, *map)) return std::nullopt;
   return map;
+}
+
+std::optional<std::vector<NodeId>> FindIsomorphism(const Graph& a,
+                                                   const Graph& b) {
+  // Sizes first, so a pair of different sizes costs no labeling.
+  if (b.num_nodes() != a.num_nodes() || a.num_edges() != b.num_edges()) {
+    return std::nullopt;
+  }
+  return FindIsomorphism(a, IsomorphismLabeling(a), b);
 }
 
 OrbitPartition ComputeOrbits(const Graph& graph) {

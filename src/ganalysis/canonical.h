@@ -22,7 +22,9 @@
 // Individualizing a vertex splits it off as a singleton and queues only
 // that singleton, so the individualize-and-refine labelings behind
 // FindIsomorphism and ComputeOrbits refine incrementally, never from
-// scratch.
+// scratch. The labelings are nearly all of FindIsomorphism's cost, so a
+// caller that keeps one side's labeling (IsomorphismLabeling) pays for
+// the other side's only.
 //
 // Orbit contract: refinement classes only OVER-approximate the true
 // automorphism orbits (refinement-equivalent vertices need not be mapped
@@ -78,16 +80,38 @@ struct OrbitPartition {
 OrbitPartition ComputeOrbits(const Graph& graph);
 
 // True when `map` (a is mapped to map[a] in `b`) is a weight- and
-// edge-preserving bijection between the two graphs.
+// edge-preserving bijection between the two graphs. Linear: one pass with
+// a stamp array over the parent rows.
 bool IsIsomorphismMap(const Graph& a, const Graph& b,
                       const std::vector<NodeId>& map);
 
-// Heuristic isomorphism search: labels each graph by individualize-and-
-// refine (always the smallest-id vertex of the first non-singleton cell),
-// aligns the two labelings and verifies the induced bijection explicitly.
-// Returns the verified mapping (a-id -> b-id), or nullopt when the
-// alignment fails — which is conservative, never wrong. Complete in
-// practice for the regular dataflow families (dwt/kary/chain/mvm/butterfly).
+// Individualize-and-refine labeling: from the stable partition, the
+// smallest-id vertex of the first non-singleton cell is individualized
+// until the partition is discrete; labeling[v] is then v's position, a
+// permutation of 0..n-1. It depends on vertex ids, so it is NOT a
+// canonical form (HashGraph is the iso-invariant identity); it is what
+// FindIsomorphism aligns. Costs one refinement plus one incremental
+// refinement per individualized vertex — nearly all of FindIsomorphism.
+std::vector<std::uint32_t> IsomorphismLabeling(const Graph& graph);
+
+// Heuristic isomorphism search: aligns a's labeling with b's (the vertex
+// labeled L in a maps to the vertex labeled L in b) and verifies the
+// induced bijection explicitly. Returns the verified mapping
+// (a-id -> b-id), or nullopt when the alignment fails — which is
+// conservative, never wrong. Complete in practice for the regular
+// dataflow families (dwt/kary/chain/mvm/butterfly).
+//
+// `a_labeling` must be IsomorphismLabeling(a) for the result to equal the
+// two-graph form's; a caller that matches many graphs against one stored
+// graph computes that labeling once, and each call then labels only `b`,
+// about half the two-graph cost. Any other labeling is safe: one of the
+// wrong size yields nullopt, and whatever map it induces is verified.
+std::optional<std::vector<NodeId>> FindIsomorphism(
+    const Graph& a, const std::vector<std::uint32_t>& a_labeling,
+    const Graph& b);
+
+// The same search labeling both graphs:
+// FindIsomorphism(a, IsomorphismLabeling(a), b), after a size check.
 std::optional<std::vector<NodeId>> FindIsomorphism(const Graph& a,
                                                    const Graph& b);
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "dataflows/dwt_graph.h"
 #include "dataflows/tree_graph.h"
@@ -111,13 +112,14 @@ RecognitionResult RecognizeDwt(const Graph& graph) {
     total += n >> (d - 1);
     if (total > graph.num_nodes()) break;
     if (total != graph.num_nodes()) continue;
-    const DwtGraph ref = BuildDwt(n, d, PrecisionConfig{ws, wc});
+    DwtGraph ref = BuildDwt(n, d, PrecisionConfig{ws, wc});
     auto map = FindIsomorphism(graph, ref.graph);
     if (!map) continue;
     r.family = GraphFamily::kDwt;
     r.param0 = n;
     r.param1 = d;
     r.config = PrecisionConfig{ws, wc};
+    r.reference = std::move(ref);
     r.to_reference = std::move(*map);
     r.label = "dwt:" + std::to_string(n) + "," + std::to_string(d);
     return r;

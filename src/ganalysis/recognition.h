@@ -2,20 +2,22 @@
 //
 // Identifies serialized graphs as instances of the closed-form families —
 // chain, k-ary in-tree, DWT(n, d) — and returns the parameters plus, for
-// DWT, a verified isomorphism onto a freshly built reference instance, so
-// callers can route to the polynomial DP schedulers (KaryTreeScheduler,
-// DwtOptimalScheduler) instead of exponential search. Recognition is
-// conservative: a kUnknown answer is always safe, a recognized answer is
-// backed by an explicitly checked structure (in-tree test / verified
-// bijection), never by parameter heuristics alone.
+// DWT, a freshly built reference instance and a verified isomorphism onto
+// it, so callers can route to the polynomial DP schedulers
+// (KaryTreeScheduler, DwtOptimalScheduler) instead of exponential search.
+// Recognition is conservative: a kUnknown answer is always safe, a
+// recognized answer is backed by an explicitly checked structure (in-tree
+// test / verified bijection), never by parameter heuristics alone.
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/graph.h"
 #include "core/types.h"
+#include "dataflows/dwt_graph.h"
 #include "dataflows/weights.h"
 
 namespace wrbpg {
@@ -38,8 +40,10 @@ struct RecognitionResult {
   // Inferred node-weight configuration (dwt only; trees take arbitrary
   // weights and leave this zero).
   PrecisionConfig config = {0, 0};
-  // dwt only: verified mapping graph-id -> reference-BuildDwt-id. Empty
+  // dwt only: the reference BuildDwt(param0, param1, config) that
+  // recognition verified, and the mapping graph-id -> reference-id. Empty
   // for the tree families (their DP runs on the graph directly).
+  std::optional<DwtGraph> reference;
   std::vector<NodeId> to_reference;
   // Human-readable spec label, e.g. "dwt:16,2" / "kary:2,4" / "chain:9".
   std::string label;

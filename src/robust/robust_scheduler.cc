@@ -88,8 +88,8 @@ RobustResult RobustScheduler::Run(Weight budget,
   // the polynomial DPs: when the graph is a serialized instance of a
   // closed-form family, skip exponential search entirely. Recognition is
   // conservative — an unrecognized graph just skips the stage — and a DWT
-  // answer is backed by a verified isomorphism onto a reference BuildDwt
-  // instance, whose schedule is renamed back through it.
+  // answer is backed by a verified isomorphism onto the reference BuildDwt
+  // instance recognition built, whose schedule is renamed back through it.
   Stage recog{"recognition", /*is_exact=*/true, "", nullptr};
   if (!family.recognized()) {
     recog.skip_detail = "no closed-form family recognized";
@@ -100,10 +100,8 @@ RobustResult RobustScheduler::Run(Weight budget,
     if (family.family == GraphFamily::kDwt) {
       recog.engine = [this, budget, family = std::move(family)](
                          const CancelToken* cancel) {
-        const DwtGraph ref =
-            BuildDwt(family.param0, static_cast<int>(family.param1),
-                     family.config);
-        ScheduleResult result = DwtOptimalScheduler(ref).Run(budget, cancel);
+        ScheduleResult result =
+            DwtOptimalScheduler(*family.reference).Run(budget, cancel);
         if (result.feasible) {
           // Rename the reference schedule back onto our node ids
           // through the inverse of the verified isomorphism.

@@ -1159,7 +1159,10 @@ ScheduleResult Searcher<Ops>::Run(bool want_schedule,
   result.lower_bound = result.cost;
   result.optimality_gap = 0;
   result.termination = Termination::kOptimal;
-  if (want_schedule) result.schedule = Reconstruct();
+  if (want_schedule) {
+    const obs::ScopedSpan reconstruct_span("search.reconstruct");
+    result.schedule = Reconstruct();
+  }
   return result;
 }
 
@@ -1239,6 +1242,20 @@ Schedule Searcher<Ops>::Reconstruct() {
   return Schedule(std::move(moves));
 }
 
+// Builds the searcher — the policy's masks, StateBound and state interner
+// — under its own span, then runs it.
+template <typename Ops>
+ScheduleResult SetUpAndRun(const Graph& graph, Weight budget,
+                           const BruteForceOptions& options,
+                           bool want_schedule, const Incumbent* incumbent) {
+  std::optional<Searcher<Ops>> searcher;
+  {
+    const obs::ScopedSpan span("search.setup");
+    searcher.emplace(graph, budget, options);
+  }
+  return searcher->Run(want_schedule, incumbent);
+}
+
 }  // namespace
 
 const char* ToString(SearchEngine engine) {
@@ -1288,13 +1305,15 @@ ScheduleResult BruteForceScheduler::Search(Weight budget,
 
   std::optional<Incumbent> incumbent;
   if (opts.engine == SearchEngine::kBranchAndBound) {
+    const obs::ScopedSpan span("search.seed_incumbent");
     incumbent = SeedIncumbent(graph_, budget, opts);
   }
   const Incumbent* inc = incumbent.has_value() ? &*incumbent : nullptr;
 
   ScheduleResult result =
-      wide ? Searcher<WideOps>(graph_, budget, opts).Run(want_schedule, inc)
-           : Searcher<PackedOps>(graph_, budget, opts).Run(want_schedule, inc);
+      wide
+          ? SetUpAndRun<WideOps>(graph_, budget, opts, want_schedule, inc)
+          : SetUpAndRun<PackedOps>(graph_, budget, opts, want_schedule, inc);
 
   if (options.engine == SearchEngine::kBranchAndBound) {
     static const obs::Counter bb_runs("search.bb.runs");

@@ -89,12 +89,15 @@ const char* ToString(ServeSource source) {
 
 // One cached (or in-flight) answer. The stored graph and budget pin what
 // the result was solved for: structural equality with the request decides
-// direct hits, and the stored graph anchors isomorphism renaming for
-// permuted requests.
+// direct hits, and the stored graph, with its labeling, anchors
+// isomorphism renaming for permuted requests.
 struct ScheduleService::CacheEntry {
   bool ok = false;          // the solve produced a valid schedule
   std::string error;        // infeasibility detail when !ok
   Graph graph;              // the solved labeling
+  // IsomorphismLabeling(graph), computed once at admission when iso hits
+  // are on, so an isomorph hit labels only the request.
+  std::vector<std::uint32_t> labeling;
   Weight budget = 0;
   ScheduleResult result;
   std::string winner;
@@ -164,6 +167,10 @@ std::shared_ptr<const ScheduleService::CacheEntry> ScheduleService::Solve(
       graph_bytes + schedule_bin.size() + sizeof(CacheEntry);
 
   if (options_.cache_bytes > 0 && CacheAdmissible(deadline_ms, entry->result)) {
+    if (options_.iso_hits) {
+      entry->labeling = IsomorphismLabeling(entry->graph);
+      entry->accounted_bytes += entry->labeling.size() * sizeof(std::uint32_t);
+    }
     static const obs::Counter inserts("service.cache_inserts");
     static const obs::Counter rejected("service.cache_insert_rejected");
     if (cache_.Put(key, entry, entry->accounted_bytes)) {
@@ -226,41 +233,42 @@ ServiceResponse ScheduleService::Serve(const ServiceRequest& request) {
       }
       // Same iso-invariant key, different structure: either a permuted
       // isomorph (serve by verified renaming) or a genuine hash
-      // collision (fall through to a cold solve).
-      if (options_.iso_hits) {
-        if (!entry->ok) {
-          // Infeasibility transfers across isomorphism: permuting node
-          // ids changes no weight and no budget.
-          if (FindIsomorphism(entry->graph, *request.graph)) {
-            iso_hits.Add(1);
+      // collision (fall through to a cold solve). The entry carries its
+      // graph's labeling, so only the request is labeled.
+      const auto map =
+          options_.iso_hits
+              ? FindIsomorphism(entry->graph, entry->labeling, *request.graph)
+              : std::nullopt;
+      if (map && !entry->ok) {
+        // Infeasibility transfers across isomorphism: permuting node ids
+        // changes no weight and no budget.
+        iso_hits.Add(1);
+        const std::scoped_lock lock(stats_mu_);
+        ++stats_.iso_hits;
+        return respond_from(entry, ServeSource::kIsoCacheHit);
+      }
+      if (map) {
+        std::vector<Move> moves = entry->result.schedule.moves();
+        for (Move& move : moves) move.node = (*map)[move.node];
+        ScheduleResult renamed = entry->result;
+        renamed.schedule = Schedule(std::move(moves));
+        // The renaming is provably cost-preserving, but the serve path
+        // re-verifies anyway: a schedule leaves the service only through
+        // the simulator.
+        const SimResult sim =
+            Simulate(*request.graph, request.budget, renamed.schedule);
+        if (sim.valid && sim.cost == entry->result.cost) {
+          iso_hits.Add(1);
+          {
             const std::scoped_lock lock(stats_mu_);
             ++stats_.iso_hits;
-            return respond_from(entry, ServeSource::kIsoCacheHit);
           }
-        } else if (const auto map =
-                       FindIsomorphism(entry->graph, *request.graph)) {
-          std::vector<Move> moves = entry->result.schedule.moves();
-          for (Move& move : moves) move.node = (*map)[move.node];
-          ScheduleResult renamed = entry->result;
-          renamed.schedule = Schedule(std::move(moves));
-          // The renaming is provably cost-preserving, but the serve path
-          // re-verifies anyway: a schedule leaves the service only
-          // through the simulator.
-          const SimResult sim =
-              Simulate(*request.graph, request.budget, renamed.schedule);
-          if (sim.valid && sim.cost == entry->result.cost) {
-            iso_hits.Add(1);
-            {
-              const std::scoped_lock lock(stats_mu_);
-              ++stats_.iso_hits;
-            }
-            response.ok = true;
-            response.result = std::move(renamed);
-            response.winner = entry->winner;
-            response.source = ServeSource::kIsoCacheHit;
-            response.latency_ms = MsSince(start);
-            return response;
-          }
+          response.ok = true;
+          response.result = std::move(renamed);
+          response.winner = entry->winner;
+          response.source = ServeSource::kIsoCacheHit;
+          response.latency_ms = MsSince(start);
+          return response;
         }
       }
     }

@@ -30,7 +30,10 @@
 //      ids) is served by renaming the stored schedule through an
 //      explicitly verified isomorphism (FindIsomorphism) and
 //      re-validating it in the simulator — same cost, provably valid,
-//      but node ids follow the request's labeling.
+//      but node ids follow the request's labeling. An entry keeps its
+//      graph's IsomorphismLabeling from admission (4 bytes per node,
+//      counted in its accounted bytes), so an isomorph hit labels only
+//      the request.
 //
 //   3. Single-flight dedup (util/singleflight.h): concurrent identical
 //      requests (exact graph bytes + budget) trigger exactly ONE solve;
@@ -110,8 +113,9 @@ struct ServiceResponse {
 
 struct ServiceOptions {
   // Total byte budget of the schedule cache and the key memo; schedule
-  // entries account their wrbpg-bin-v1 encoded graph + schedule size, and
-  // the memo holds 1/kKeyMemoShare of the budget. 0 disables both.
+  // entries account their wrbpg-bin-v1 encoded graph + schedule size plus
+  // the stored labeling, and the memo holds 1/kKeyMemoShare of the
+  // budget. 0 disables both.
   std::size_t cache_bytes = 64ull << 20;
   std::size_t cache_shards = 16;
   // Serve permuted isomorphs from cache by verified renaming. Off, an

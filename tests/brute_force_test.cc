@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "core/analysis.h"
+#include "obs/span.h"
 #include "schedulers/brute_force.h"
 #include "schedulers/greedy_topo.h"
 #include "tests/test_helpers.h"
@@ -189,6 +193,39 @@ TEST(BruteForce, GraphBeyond32NodesTightBudget) {
   EXPECT_EQ(result.cost, 2);
   testing::ExpectValid(g, 2, result.schedule);
   EXPECT_FALSE(sched.Run(1).feasible);
+}
+
+// Total count of the spans named `name` anywhere in the tree.
+std::uint64_t SpanCount(const obs::SpanNode& node, const std::string& name) {
+  std::uint64_t count = node.name == name ? node.count : 0;
+  for (const obs::SpanNode& child : node.children) {
+    count += SpanCount(child, name);
+  }
+  return count;
+}
+
+// The bb engine's work around Searcher::Run has spans of its own: the
+// incumbent seeding and the searcher's setup on every run, the canonical
+// reconstruction only when a schedule is wanted.
+TEST(BruteForce, BbRunRecordsItsPhaseSpans) {
+  const Graph g = MakeDiamond();
+  BruteForceOptions options;
+  options.engine = SearchEngine::kBranchAndBound;
+  obs::ResetSpans();
+  EXPECT_NE(BruteForceScheduler(g).CostOnly(3, options), kInfiniteCost);
+  obs::SpanNode spans = obs::SnapshotSpans();
+  EXPECT_EQ(SpanCount(spans, "search.seed_incumbent"), 1u);
+  EXPECT_EQ(SpanCount(spans, "search.setup"), 1u);
+  EXPECT_EQ(SpanCount(spans, "search.bb"), 1u);
+  EXPECT_EQ(SpanCount(spans, "search.reconstruct"), 0u);
+
+  const ScheduleResult result = BruteForceScheduler(g).Run(3, options);
+  ASSERT_TRUE(result.feasible);
+  EXPECT_EQ(result.termination, Termination::kOptimal);
+  spans = obs::SnapshotSpans();
+  EXPECT_EQ(SpanCount(spans, "search.seed_incumbent"), 2u);
+  EXPECT_EQ(SpanCount(spans, "search.setup"), 2u);
+  EXPECT_EQ(SpanCount(spans, "search.reconstruct"), 1u);
 }
 
 }  // namespace

@@ -123,6 +123,65 @@ Graph BuiltinOrDie(const std::string& spec) {
   return built.graph();
 }
 
+// The sort-based IsIsomorphismMap the stamp-array check replaced, kept
+// verbatim as a naive reference.
+bool SortedIsIsomorphismMap(const Graph& a, const Graph& b,
+                            const std::vector<NodeId>& map) {
+  const NodeId n = a.num_nodes();
+  if (b.num_nodes() != n || map.size() != n) return false;
+  if (a.num_edges() != b.num_edges()) return false;
+  std::vector<unsigned char> hit(n, 0);
+  for (NodeId v = 0; v < n; ++v) {
+    if (map[v] >= n || hit[map[v]]) return false;  // not a bijection
+    hit[map[v]] = 1;
+    if (a.weight(v) != b.weight(map[v])) return false;
+  }
+  for (NodeId v = 0; v < n; ++v) {
+    const auto pa = a.parents(v);
+    const auto pb = b.parents(map[v]);
+    if (pa.size() != pb.size()) return false;
+    std::vector<NodeId> mapped;
+    mapped.reserve(pa.size());
+    for (NodeId p : pa) mapped.push_back(map[p]);
+    std::sort(mapped.begin(), mapped.end());
+    std::vector<NodeId> target(pb.begin(), pb.end());
+    std::sort(target.begin(), target.end());
+    if (mapped != target) return false;
+  }
+  return true;
+}
+
+using EdgeList = std::vector<std::pair<NodeId, NodeId>>;
+
+EdgeList EdgesOf(const Graph& g) {
+  EdgeList edges;
+  edges.reserve(g.num_edges());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) {
+    for (const NodeId c : g.children(v)) edges.emplace_back(v, c);
+  }
+  return edges;
+}
+
+std::vector<Weight> WeightsOf(const Graph& g) {
+  std::vector<Weight> weights(g.num_nodes());
+  for (NodeId v = 0; v < g.num_nodes(); ++v) weights[v] = g.weight(v);
+  return weights;
+}
+
+// Builds a graph from weights and edges; nullopt when the edit broke a
+// model precondition (a cycle). Sources and sinks may overlap, so an edit
+// that leaves a node isolated still builds.
+std::optional<Graph> Rebuild(const std::vector<Weight>& weights,
+                             const EdgeList& edges) {
+  GraphBuilder builder;
+  for (const Weight w : weights) builder.AddNode(w);
+  for (const auto& [u, v] : edges) builder.AddEdge(u, v);
+  GraphBuilder::BuildResult built =
+      builder.Build({.require_disjoint_sources_sinks = false});
+  if (!built.ok) return std::nullopt;
+  return std::move(built.graph);
+}
+
 TEST(Canonical, HashIsInvariantUnderRandomPermutation) {
   const std::vector<Graph> corpus = {
       testing::MakeDiamond({3, 5, 7, 11, 13}),
@@ -254,6 +313,221 @@ TEST(Canonical, BenchmarkScaleGraphsSurvivePermutation) {
   }
 }
 
+// The stamp-array IsIsomorphismMap agrees with the sort-based one on
+// true isomorphisms and on every kind of near miss: a parent row of the
+// right size holding one non-parent, a changed weight, two vertices
+// mapped to one image, an image out of range, and unequal sizes. Each
+// defect kind must also produce some `false`, so the comparison cannot
+// pass on inputs that never reach the check under test.
+TEST(Canonical, IsIsomorphismMapMatchesSortedReference) {
+  std::vector<Graph> corpus;
+  for (const char* spec :
+       {"dwt:8,2", "dwt:16,2", "kary:2,4", "kary:3,3", "butterfly:8",
+        "butterfly:16", "mvm:3,3", "mvm:4,4"}) {
+    corpus.push_back(BuiltinOrDie(spec));
+  }
+  corpus.push_back(testing::MakeDiamond({3, 5, 7, 11, 13}));
+  corpus.push_back(testing::MakeChain(9));
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    Rng rng(0x15a5u + seed);
+    RandomDagOptions options;
+    options.num_layers = 3 + static_cast<int>(seed % 3);
+    options.nodes_per_layer = 3 + static_cast<int>(seed % 4);
+    options.max_in_degree = 2;
+    if (seed % 2 == 0) options.min_weight = options.max_weight = 4;
+    corpus.push_back(BuildRandomDag(rng, options));
+  }
+
+  std::size_t checked = 0;
+  std::vector<std::size_t> rejected(7, 0);  // per defect kind
+  auto agree = [&](const Graph& a, const Graph& b,
+                   const std::vector<NodeId>& map, std::size_t kind,
+                   const std::string& what) {
+    const bool expected = SortedIsIsomorphismMap(a, b, map);
+    EXPECT_EQ(IsIsomorphismMap(a, b, map), expected) << what;
+    ++checked;
+    if (!expected) ++rejected[kind];
+  };
+
+  for (std::size_t gi = 0; gi < corpus.size(); ++gi) {
+    const Graph& g = corpus[gi];
+    const NodeId n = g.num_nodes();
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const Graph h = testing::PermuteGraph(g, seed);
+      const auto found = FindIsomorphism(g, h);
+      if (!found) continue;
+      const std::vector<NodeId>& map = *found;
+      const std::string at =
+          "graph " + std::to_string(gi) + " seed " + std::to_string(seed);
+      agree(g, h, map, 0, at + " true map");
+      EXPECT_TRUE(IsIsomorphismMap(g, h, map)) << at;
+
+      // A parent row of the right size with one non-parent: rewire the
+      // edge p -> v of h to q -> v, q earlier in topological order.
+      const auto& topo = h.topological_order();
+      for (std::size_t i = 1; i < topo.size(); i += 1 + topo.size() / 6) {
+        const NodeId v = topo[i];
+        if (h.parents(v).empty()) continue;
+        const NodeId p = h.parents(v).front();
+        for (std::size_t j = 0; j < i; ++j) {
+          const NodeId q = topo[j];
+          const auto row = h.parents(v);
+          if (std::find(row.begin(), row.end(), q) != row.end()) continue;
+          EdgeList edges = EdgesOf(h);
+          for (auto& edge : edges) {
+            if (edge == std::pair{p, v}) edge.first = q;
+          }
+          if (const auto rewired = Rebuild(WeightsOf(h), edges)) {
+            agree(g, *rewired, map, 1,
+                  at + " parent " + std::to_string(p) + " of " +
+                      std::to_string(v) + " -> " + std::to_string(q));
+          }
+          break;
+        }
+      }
+
+      // Two vertices of equal weight and in-degree swap images.
+      for (NodeId x = 0; x + 1 < n; x += 1 + n / 5) {
+        for (NodeId y = x + 1; y < n; ++y) {
+          if (g.weight(x) != g.weight(y) ||
+              g.in_degree(x) != g.in_degree(y)) {
+            continue;
+          }
+          std::vector<NodeId> swapped = map;
+          std::swap(swapped[x], swapped[y]);
+          agree(g, h, swapped, 2, at + " swap " + std::to_string(x) + "," +
+                                      std::to_string(y));
+          break;
+        }
+      }
+
+      // A changed weight.
+      for (NodeId x = 0; x < n; x += 1 + n / 4) {
+        std::vector<Weight> weights = WeightsOf(h);
+        weights[map[x]] += 1;
+        const auto heavier = Rebuild(weights, EdgesOf(h));
+        ASSERT_TRUE(heavier.has_value());
+        agree(g, *heavier, map, 3, at + " weight of " + std::to_string(x));
+      }
+
+      // Two vertices mapped to one image.
+      for (NodeId x = 1; x < n; x += 1 + n / 4) {
+        std::vector<NodeId> merged = map;
+        merged[x] = map[x - 1];
+        agree(g, h, merged, 4, at + " merge " + std::to_string(x));
+      }
+
+      // An image out of range.
+      for (const NodeId image : {n, n + 7, kInvalidNode}) {
+        std::vector<NodeId> out = map;
+        out[n / 2] = image;
+        agree(g, h, out, 5, at + " image " + std::to_string(image));
+      }
+
+      // Unequal sizes: a short or long map, one more node, one edge less.
+      std::vector<NodeId> shorter(map.begin(), map.end() - 1);
+      agree(g, h, shorter, 6, at + " short map");
+      std::vector<NodeId> longer = map;
+      longer.push_back(n);
+      agree(g, h, longer, 6, at + " long map");
+      std::vector<Weight> weights = WeightsOf(h);
+      weights.push_back(1);
+      if (const auto bigger = Rebuild(weights, EdgesOf(h))) {
+        agree(g, *bigger, map, 6, at + " extra node");
+      }
+      EdgeList edges = EdgesOf(h);
+      edges.pop_back();
+      if (const auto sparser = Rebuild(WeightsOf(h), edges)) {
+        agree(g, *sparser, map, 6, at + " missing edge");
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+  EXPECT_EQ(rejected[0], 0u);  // every found map is an isomorphism
+  for (std::size_t kind = 1; kind < rejected.size(); ++kind) {
+    EXPECT_GT(rejected[kind], 0u) << "defect kind " << kind;
+  }
+}
+
+// FindIsomorphism with a's labeling passed in is the two-graph search:
+// the same maps on the benchmark-scale shapes, nullopt on a 1-WL-
+// equivalent non-isomorphic pair, and never a wrong map from a labeling
+// of the wrong size or of another graph.
+TEST(Canonical, CachedLabelingFindsTheSameMap) {
+  for (const char* spec : {"dwt:256,8", "kary:3,5", "butterfly:64",
+                           "mvm:8,8", "random:12,16,7"}) {
+    const Graph g = BuiltinOrDie(spec);
+    const std::vector<std::uint32_t> labeling = IsomorphismLabeling(g);
+    std::vector<std::uint32_t> sorted = labeling;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<std::uint32_t> identity(g.num_nodes());
+    std::iota(identity.begin(), identity.end(), 0u);
+    EXPECT_EQ(sorted, identity) << spec << ": not a permutation";
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      const Graph permuted = testing::PermuteGraph(g, seed);
+      const auto cached = FindIsomorphism(g, labeling, permuted);
+      ASSERT_TRUE(cached.has_value()) << spec << " seed " << seed;
+      EXPECT_TRUE(cached == FindIsomorphism(g, permuted))
+          << spec << " seed " << seed;
+    }
+  }
+
+  // Six sources feeding six sinks, every degree 2: one 12-cycle against
+  // two 6-cycles. Refinement cannot tell them apart (equal hashes), but
+  // no bijection survives verification.
+  auto ring = [](std::uint32_t cycle) {
+    GraphBuilder b;
+    for (int i = 0; i < 12; ++i) b.AddNode(2);
+    for (std::uint32_t i = 0; i < 6; ++i) {
+      const std::uint32_t base = i / cycle * cycle;
+      b.AddEdge(i, 6 + i);
+      b.AddEdge(i, 6 + base + (i - base + 1) % cycle);
+    }
+    return b.BuildOrDie();
+  };
+  const Graph one_ring = ring(6);
+  const Graph two_rings = ring(3);
+  ASSERT_EQ(HashGraph(one_ring), HashGraph(two_rings));
+  EXPECT_FALSE(FindIsomorphism(one_ring, two_rings).has_value());
+  EXPECT_FALSE(FindIsomorphism(one_ring, IsomorphismLabeling(one_ring),
+                               two_rings)
+                   .has_value());
+
+  // Wrong labelings: a size mismatch is refused outright; a labeling of
+  // another graph (or no permutation at all) yields nullopt or a map the
+  // verifier accepts.
+  const Graph g = BuiltinOrDie("dwt:16,2");
+  const Graph permuted = testing::PermuteGraph(g, 0x5eedu);
+  std::vector<std::uint32_t> labeling = IsomorphismLabeling(g);
+  labeling.pop_back();
+  EXPECT_FALSE(FindIsomorphism(g, labeling, permuted).has_value());
+  labeling = IsomorphismLabeling(g);
+  labeling.push_back(static_cast<std::uint32_t>(labeling.size()));
+  EXPECT_FALSE(FindIsomorphism(g, labeling, permuted).has_value());
+  EXPECT_FALSE(FindIsomorphism(g, {}, permuted).has_value());
+
+  Rng rng(0xd1ffu);
+  RandomDagOptions options;
+  options.num_layers = 4;
+  options.nodes_per_layer = static_cast<int>(g.num_nodes()) / 4;
+  const Graph other = BuildRandomDag(rng, options);
+  std::vector<std::vector<std::uint32_t>> wrong = {
+      IsomorphismLabeling(permuted),
+      IsomorphismLabeling(testing::PermuteGraph(g, 0xbeefu)),
+      std::vector<std::uint32_t>(g.num_nodes(), 0),
+      std::vector<std::uint32_t>(g.num_nodes(), g.num_nodes()),
+  };
+  if (other.num_nodes() == g.num_nodes()) {
+    wrong.push_back(IsomorphismLabeling(other));
+  }
+  for (std::size_t i = 0; i < wrong.size(); ++i) {
+    const auto map = FindIsomorphism(g, wrong[i], permuted);
+    if (map) {
+      EXPECT_TRUE(IsIsomorphismMap(g, permuted, *map)) << i;
+    }
+  }
+}
+
 // Verified orbit counts, pinned to the values the rank-iteration refiner
 // produced, so a change to the refiner cannot quietly merge or split
 // orbits.
@@ -288,10 +562,15 @@ TEST(Recognition, IdentifiesChainKaryAndSerializedDwt) {
   EXPECT_EQ(rec.param0, 16);
   EXPECT_EQ(rec.param1, 2);
   ASSERT_EQ(rec.to_reference.size(), parsed.graph.num_nodes());
-  const DwtGraph reference =
-      BuildDwt(rec.param0, static_cast<int>(rec.param1), rec.config);
+  // Recognition hands over the reference it verified the mapping against.
+  ASSERT_TRUE(rec.reference.has_value());
   EXPECT_TRUE(
-      IsIsomorphismMap(parsed.graph, reference.graph, rec.to_reference));
+      IsIsomorphismMap(parsed.graph, rec.reference->graph, rec.to_reference));
+  EXPECT_TRUE(rec.reference->graph ==
+              BuildDwt(rec.param0, static_cast<int>(rec.param1), rec.config)
+                  .graph);
+  EXPECT_FALSE(chain.reference.has_value());
+  EXPECT_FALSE(kary.reference.has_value());
 }
 
 TEST(Recognition, IsConservativeOnNonFamilyGraphs) {

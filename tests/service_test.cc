@@ -180,6 +180,47 @@ TEST(ScheduleService, InfeasibleVerdictsAreCachedToo) {
   EXPECT_EQ(service.stats().solves, 1u);
 }
 
+// The `!ok` isomorph branch: an infeasible verdict transfers to a
+// permuted isomorph, which is then answered from the cache, not re-solved.
+TEST(ScheduleService, InfeasibleVerdictTransfersToPermutedIsomorph) {
+  const Graph graph = BuiltinOrDie("random:2,3,5");
+  const Graph permuted = testing::PermuteGraph(graph, 0x1f00u);
+  ASSERT_FALSE(permuted == graph);
+  ScheduleService service;
+  ServiceRequest request;
+  request.graph = &graph;
+  request.budget = 1;  // below any node weight: provably infeasible
+  const ServiceResponse cold = service.Serve(request);
+  ASSERT_FALSE(cold.ok);
+  EXPECT_EQ(cold.source, ServeSource::kSolved);
+
+  request.graph = &permuted;
+  const ServiceResponse iso = service.Serve(request);
+  EXPECT_FALSE(iso.ok);
+  EXPECT_EQ(iso.source, ServeSource::kIsoCacheHit);
+  EXPECT_EQ(iso.error, cold.error);
+  EXPECT_EQ(service.stats().iso_hits, 1u);
+  EXPECT_EQ(service.stats().solves, 1u);
+}
+
+// An admitted entry keeps its graph's labeling (4 bytes per node) and
+// accounts for it, on top of the encoded graph and schedule.
+TEST(ScheduleService, AdmittedEntryBytesIncludeItsLabeling) {
+  const Graph graph = BuiltinOrDie("kary:2,7");
+  ASSERT_GE(graph.num_nodes(), 200u);
+  ScheduleService service;
+  ServiceRequest request;
+  request.graph = &graph;
+  request.budget = MinValidBudget(graph) + 16;
+  const ServiceResponse cold = service.Serve(request);
+  ASSERT_TRUE(cold.ok);
+  const ServiceStats stats = service.stats();
+  ASSERT_EQ(stats.cache_entries, 1u);
+  EXPECT_GE(stats.cache_bytes,
+            ToBinary(graph).size() + ToBinary(cold.result.schedule).size() +
+                graph.num_nodes() * sizeof(std::uint32_t));
+}
+
 TEST(ScheduleService, EvictsByByteBudget) {
   ServiceOptions options;
   options.cache_bytes = 4096;
