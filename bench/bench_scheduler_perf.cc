@@ -54,11 +54,15 @@
 // matched to its reference, kept its hash, and was recognized. The same
 // rounds time Simulate() on each bare graph, replaying a Belady schedule at
 // MinValidBudget + 16 that is built before timing starts, and record
-// whether the simulator accepted it; and ParseGraphBinary() on each bare
+// whether the simulator accepted it; ParseGraphBinary() on each bare
 // graph's wrbpg-bin-v1 bytes, recording whether the decoded graph equals
-// it. JSON to BENCH_canonical.json; tools/bench_diff.py is the gate
-// (those flags, and each family's growth per doubling of the node count,
-// for the canonical layer, Simulate() and the decoder separately).
+// it; and one bb Run on each bare graph at that budget with an
+// already-cancelled token (bb_setup_ms: incumbent seeding, building the
+// searcher, the start state's h and teardown — the part of a bb call no
+// deadline can cut short). JSON to BENCH_canonical.json;
+// tools/bench_diff.py is the gate (those flags, and each family's growth
+// per doubling of the node count, for the canonical layer, Simulate(),
+// the decoder and the bb setup separately).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -881,6 +885,7 @@ int RunCanonicalScaling(const CliArgs& args) {
     std::string bytes;  // wrbpg-bin-v1 encoding of `bare`
     double hash_ms = 1e300, iso_ms = 1e300, recog_ms = 1e300;
     double total_ms = 1e300, simulate_ms = 1e300, decode_ms = 1e300;
+    double bb_setup_ms = 1e300;
     bool found = true, recognized = true, hash_invariant = true;
     bool valid = true, round_trip = true;
   };
@@ -904,6 +909,12 @@ int RunCanonicalScaling(const CliArgs& args) {
       rows.push_back(std::move(row));
     }
   }
+  const CancelToken cancelled;
+  cancelled.Cancel();
+  BruteForceOptions bb;
+  bb.engine = SearchEngine::kBranchAndBound;
+  bb.threads = 1;
+  bb.cancel = &cancelled;
   // Each round times every row once, so a burst of host noise lands on
   // one row's sample in one round rather than on all of its samples;
   // every time is the fastest round's.
@@ -927,6 +938,9 @@ int RunCanonicalScaling(const CliArgs& args) {
       row.decode_ms = std::min(row.decode_ms, ElapsedMs(start));
       row.round_trip =
           row.round_trip && decoded.ok && decoded.graph == row.bare;
+      start = SweepClock::now();
+      BruteForceScheduler(row.bare).Run(row.budget, bb);
+      row.bb_setup_ms = std::min(row.bb_setup_ms, ElapsedMs(start));
       row.hash_ms = std::min(row.hash_ms, h);
       row.iso_ms = std::min(row.iso_ms, i);
       row.recog_ms = std::min(row.recog_ms, g);
@@ -945,7 +959,7 @@ int RunCanonicalScaling(const CliArgs& args) {
             << std::setw(7) << "recog" << std::setw(7) << "hash="
             << std::setw(9) << "moves" << std::setw(8) << "sim_ms"
             << std::setw(7) << "valid" << std::setw(8) << "dec_ms"
-            << std::setw(7) << "trip" << "\n";
+            << std::setw(7) << "trip" << std::setw(8) << "bb_ms" << "\n";
   obs::Json json_rows = obs::Json::Array();
   for (const Row& row : rows) {
     auto yes_no = [](bool b) { return b ? "yes" : "NO"; };
@@ -960,7 +974,7 @@ int RunCanonicalScaling(const CliArgs& args) {
               << row.schedule.size() << std::setw(8) << row.simulate_ms
               << std::setw(7) << yes_no(row.valid) << std::setw(8)
               << row.decode_ms << std::setw(7) << yes_no(row.round_trip)
-              << "\n";
+              << std::setw(8) << row.bb_setup_ms << "\n";
 
     obs::Json json_row = obs::Json::Object();
     json_row.Set("instance", row.label);
@@ -981,6 +995,7 @@ int RunCanonicalScaling(const CliArgs& args) {
     json_row.Set("valid", row.valid);
     json_row.Set("decode_ms", row.decode_ms);
     json_row.Set("round_trip", row.round_trip);
+    json_row.Set("bb_setup_ms", row.bb_setup_ms);
     json_rows.Push(std::move(json_row));
   }
 

@@ -1,19 +1,16 @@
-// Word-span move-legality masks of the exact search and StateBound
+// Word-span per-graph masks of the exact search and StateBound
 // (DESIGN.md §14.3).
 //
 // Every WRBPG move predicate is a set operation over the (red, blue)
 // configuration and a per-graph constant: the loadable set is
 // `blue & ~red`, the storable set `red & ~blue`, the deletable set `red`,
 // and the computable set is `~red & ~sources` filtered by
-// `parents(v) ⊆ red`. GraphMasks precomputes the per-graph constants as
-// arrays of 64-bit words (node v lives in word v/64, bit v%64) so those
-// predicates become word-parallel AND/ANDNOT ops plus ctz iteration —
-// no per-node branching. One instance serves graphs of any width; the
-// packed (≤32-node) representation reads word 0 and truncates.
-//
-// The parent masks are a dense n x ceil(n/64)-word matrix (18.9 MB at
-// 12,286 nodes), worth building once per search but not once per replay:
-// schedule replay (core/rules.h) tests M3 over the CSR parents instead.
+// `parents(v) ⊆ red`. GraphMasks holds the per-graph constants (sources,
+// sinks, valid node ids) as arrays of 64-bit words (node v lives in word
+// v/64, bit v%64), so the set operations are word-parallel AND/ANDNOT ops
+// plus ctz iteration. The `parents(v) ⊆ red` filter walks the Graph's CSR
+// row (AllSet): the search, its bound and the rules kernel (core/rules.h)
+// share that one adjacency, and the masks cost O(n/64) words to build.
 //
 // Built once per Graph, read-only afterwards: safe to share across
 // threads.
@@ -22,6 +19,7 @@
 #include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/graph.h"
@@ -31,25 +29,17 @@ namespace wrbpg {
 
 class GraphMasks {
  public:
-  // `with_children` additionally builds per-node child masks (used by the
-  // heuristic's M4 delta test; the searchers do not need them).
-  explicit GraphMasks(const Graph& graph, bool with_children = false)
+  explicit GraphMasks(const Graph& graph)
       : words_((static_cast<std::size_t>(graph.num_nodes()) + 63) / 64) {
     if (words_ == 0) words_ = 1;
     const NodeId n = graph.num_nodes();
     sources_.assign(words_, 0);
     sinks_.assign(words_, 0);
     nodes_.assign(words_, 0);
-    parents_.assign(words_ * n, 0);
-    if (with_children) children_.assign(words_ * n, 0);
     for (NodeId v = 0; v < n; ++v) {
       nodes_[v / 64] |= 1ull << (v % 64);
       if (graph.is_source(v)) sources_[v / 64] |= 1ull << (v % 64);
       if (graph.is_sink(v)) sinks_[v / 64] |= 1ull << (v % 64);
-      for (NodeId p : graph.parents(v)) {
-        parents_[words_ * v + p / 64] |= 1ull << (p % 64);
-        if (with_children) children_[words_ * p + v / 64] |= 1ull << (v % 64);
-      }
     }
   }
 
@@ -57,22 +47,21 @@ class GraphMasks {
   const std::uint64_t* sinks() const { return sinks_.data(); }
   // All valid node ids set: masks out the unused high bits of the last word.
   const std::uint64_t* nodes() const { return nodes_.data(); }
-  const std::uint64_t* parents_of(NodeId v) const {
-    return &parents_[words_ * v];
+
+  bool is_source(NodeId v) const { return Test(sources_.data(), v); }
+
+  static bool Test(const std::uint64_t* mask, NodeId v) {
+    return ((mask[v >> 6] >> (v & 63)) & 1) != 0;
   }
-  const std::uint64_t* children_of(NodeId v) const {
-    return &children_[words_ * v];
+  static void Set(std::uint64_t* mask, NodeId v) {
+    mask[v >> 6] |= 1ull << (v & 63);
   }
 
-  bool is_source(NodeId v) const {
-    return ((sources_[v / 64] >> (v % 64)) & 1) != 0;
-  }
-
-  // True iff every parent of v is set in the word-span mask `red`.
-  bool ParentsSubsetOf(NodeId v, const std::uint64_t* red) const {
-    const std::uint64_t* p = parents_of(v);
-    for (std::size_t w = 0; w < words_; ++w) {
-      if ((p[w] & ~red[w]) != 0) return false;
+  // True iff every node of `row` (a CSR row, e.g. Graph::parents(v)) is
+  // set in the word-span mask `mask`: the M3 legality test.
+  static bool AllSet(std::span<const NodeId> row, const std::uint64_t* mask) {
+    for (const NodeId u : row) {
+      if (!Test(mask, u)) return false;
     }
     return true;
   }
@@ -102,8 +91,6 @@ class GraphMasks {
   std::vector<std::uint64_t> sources_;
   std::vector<std::uint64_t> sinks_;
   std::vector<std::uint64_t> nodes_;
-  std::vector<std::uint64_t> parents_;   // words_ words per node
-  std::vector<std::uint64_t> children_;  // words_ words per node (optional)
 };
 
 }  // namespace wrbpg

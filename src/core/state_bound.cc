@@ -37,7 +37,7 @@ StateBound::StateBound(const Graph& graph, Weight budget,
   // opt-in (the packed search path passes build_wide = false and carries
   // no wide buffers at all).
   if (build_wide || n > 32) {
-    wide_masks_.emplace(graph, /*with_children=*/true);
+    wide_masks_.emplace(graph);
     wide_required_red_.assign(words_, 0);
     for (NodeId v = 0; v < 64 && v < n; ++v) {
       if ((required_red >> v) & 1) {
@@ -161,36 +161,11 @@ bool StateBound::EvalMoveFast(const PackedCtx& ctx, MoveType type, NodeId v,
   return false;
 }
 
-Weight StateBound::EvalMoveSlow(const PackedCtx& ctx, MoveType type,
+Weight StateBound::EvalMoveSlow(const PackedCtx& ctx,
+                                [[maybe_unused]] MoveType type,
                                 NodeId v) const {
-  const std::uint32_t bit = 1u << v;
-  if (type == MoveType::kCompute) {
-    // Restricted re-walk: the successor's closure is a subset of the
-    // parent's (red grew, targets shrank), so candidates can be masked
-    // with ctx.need — and every non-blue member already passed the
-    // parent walk's source/footprint checks, so the successor can never
-    // be dead and the checks are dropped wholesale.
-    const std::uint32_t red = ctx.red | bit;
-    const std::uint32_t unstored =
-        require_sinks_blue_ ? (sinks_mask_ & ~ctx.blue) : 0u;
-    std::uint32_t need = (required_red32_ | unstored) & ~red;
-    std::uint32_t frontier = need & ~ctx.blue;
-    while (frontier != 0) {
-      std::uint32_t next = 0;
-      for (std::uint32_t m = frontier; m != 0; m &= m - 1) {
-        next |= parents_mask_[std::countr_zero(m)];
-      }
-      next &= ctx.need & ~red & ~need;
-      need |= next;
-      frontier = next & ~ctx.blue;
-    }
-    Weight load = 0;
-    for (std::uint32_t m = need & sources_mask_; m != 0; m &= m - 1) {
-      load += graph_.weight(static_cast<NodeId>(std::countr_zero(m)));
-    }
-    return ctx.store + load;
-  }
   assert(type == MoveType::kDelete);
+  const std::uint32_t bit = 1u << v;
   // Incremental extension: every member of need(after) \ need(before) has
   // a derivation chain through v, so re-seed the walk at v alone and grow
   // the parent's closure in place. The successor's red differs from the
@@ -228,8 +203,9 @@ Weight StateBound::EvalMoveSlow(const PackedCtx& ctx, MoveType type,
 }
 
 // ---- Word-span twins: identical closure, mask ops spelled per 64-bit
-// word. Differentially tested against the packed path over random
-// (red, blue) pairs in tests/state_bound_test.cc. ----
+// word, adjacency read from the graph's CSR rows. Differentially tested
+// against the packed path over random (red, blue) pairs in
+// tests/state_bound_test.cc. ----
 
 Weight StateBound::Evaluate(const std::uint64_t* red,
                             const std::uint64_t* blue,
@@ -283,8 +259,7 @@ bool StateBound::WideWalk(const std::uint64_t* red, const std::uint64_t* blue,
         dead = true;
         return;
       }
-      const std::uint64_t* parents = masks.parents_of(v);
-      for (std::size_t w = 0; w < W; ++w) next[w] |= parents[w];
+      for (const NodeId p : graph_.parents(v)) GraphMasks::Set(next, p);
     });
     if (dead) return false;
     for (std::size_t w = 0; w < W; ++w) {
@@ -342,9 +317,11 @@ bool StateBound::EvalMoveFast(const WideCtx& ctx,
       const std::uint64_t unstored =
           require_sinks_blue_ ? (masks.sinks()[wd] & ~blue[wd]) : 0ull;
       if (((wide_required_red_[wd] | unstored) & bit) != 0) return false;
-      const std::uint64_t* children = masks.children_of(v);
-      for (std::size_t w = 0; w < words_; ++w) {
-        if ((children[w] & ctx.need[w] & ~blue[w]) != 0) return false;
+      for (const NodeId c : graph_.children(v)) {
+        if (GraphMasks::Test(ctx.need.data(), c) &&
+            !GraphMasks::Test(blue, c)) {
+          return false;
+        }
       }
       *h = ctx.store + ctx.load;
       return true;
@@ -354,55 +331,14 @@ bool StateBound::EvalMoveFast(const WideCtx& ctx,
 }
 
 Weight StateBound::EvalMoveSlow(const WideCtx& ctx, const std::uint64_t* red,
-                                const std::uint64_t* blue, MoveType type,
-                                NodeId v, WideScratch& scratch) const {
+                                const std::uint64_t* blue,
+                                [[maybe_unused]] MoveType type, NodeId v,
+                                WideScratch& scratch) const {
+  assert(type == MoveType::kDelete);
   const std::size_t W = words_;
   const GraphMasks& masks = *wide_masks_;
   const std::size_t wd = v / 64;
   const std::uint64_t bit = 1ull << (v % 64);
-  if (type == MoveType::kCompute) {
-    // Restricted re-walk, the word-span twin of the packed path above:
-    // the successor's closure is a subset of the parent's, so candidates
-    // are masked with ctx.need and the parent walk's source/footprint
-    // checks never need re-running (the successor cannot be dead).
-    scratch.tmp.assign(W, 0);
-    std::uint64_t* need = scratch.tmp.data();
-    scratch.frontier.assign(W, 0);
-    scratch.next.assign(W, 0);
-    std::uint64_t* frontier = scratch.frontier.data();
-    std::uint64_t* next = scratch.next.data();
-    for (std::size_t w = 0; w < W; ++w) {
-      const std::uint64_t unstored =
-          require_sinks_blue_ ? (masks.sinks()[w] & ~blue[w]) : 0ull;
-      need[w] = (wide_required_red_[w] | unstored) & ~red[w];
-      frontier[w] = need[w] & ~blue[w];
-    }
-    need[wd] &= ~bit;
-    frontier[wd] &= ~bit;
-    while (GraphMasks::AnySet(frontier, W)) {
-      for (std::size_t w = 0; w < W; ++w) next[w] = 0;
-      GraphMasks::ForEachSetBit(frontier, W, [&](NodeId u) {
-        const std::uint64_t* parents = masks.parents_of(u);
-        for (std::size_t w = 0; w < W; ++w) next[w] |= parents[w];
-      });
-      next[wd] &= ~bit;  // v is red in the successor
-      for (std::size_t w = 0; w < W; ++w) {
-        next[w] &= ctx.need[w] & ~red[w] & ~need[w];
-        need[w] |= next[w];
-        frontier[w] = next[w] & ~blue[w];
-      }
-    }
-    Weight load = 0;
-    for (std::size_t w = 0; w < W; ++w) {
-      for (std::uint64_t m = need[w] & masks.sources()[w]; m != 0;
-           m &= m - 1) {
-        load += graph_.weight(static_cast<NodeId>(
-            w * 64 + static_cast<std::size_t>(std::countr_zero(m))));
-      }
-    }
-    return ctx.store + load;
-  }
-  assert(type == MoveType::kDelete);
   // Seeded extension of the parent closure — the word-span twin of the
   // packed EvalMoveSlow above; see there for why the parent's red mask
   // stays exact.
@@ -428,8 +364,7 @@ Weight StateBound::EvalMoveSlow(const WideCtx& ctx, const std::uint64_t* red,
         dead = true;
         return;
       }
-      const std::uint64_t* parents = masks.parents_of(u);
-      for (std::size_t w = 0; w < W; ++w) next[w] |= parents[w];
+      for (const NodeId p : graph_.parents(u)) GraphMasks::Set(next, p);
     });
     if (dead) return kInfiniteCost;
     for (std::size_t w = 0; w < W; ++w) {
@@ -441,7 +376,7 @@ Weight StateBound::EvalMoveSlow(const WideCtx& ctx, const std::uint64_t* red,
            m &= m - 1) {
         const NodeId u = static_cast<NodeId>(
             w * 64 + static_cast<std::size_t>(std::countr_zero(m)));
-        if ((blue[u / 64] & (1ull << (u % 64))) == 0) return kInfiniteCost;
+        if (!GraphMasks::Test(blue, u)) return kInfiniteCost;
         load += graph_.weight(u);
       }
       frontier[w] = next[w] & ~blue[w];

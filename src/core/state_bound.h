@@ -59,20 +59,22 @@
 //
 // Prepare() runs one full walk for the state being expanded and records
 // (need, store, load); EvalMoveFast() applies the exact deltas above and
-// reports whether the move needed the slow path; EvalMoveSlow() is the
-// fallback (full re-walk for M3, seeded extension for M4). EvaluateMove()
-// composes the two and is pinned ≡ fresh Evaluate() in
+// reports whether the move needed the slow path, which only an M4 with
+// re-entry does; EvalMoveSlow() is that path's seeded extension.
+// EvaluateMove() composes the two and is pinned ≡ fresh Evaluate() in
 // tests/state_bound_test.cc over all mask pairs of small graphs.
 //
 // Supports graphs of ANY size. Configurations of graphs with at most 32
 // nodes use the packed uint32 mask fast path the exact engine's inline
 // states are built on; wider graphs use the word-span overload, whose
 // masks are arrays of 64-bit words (node v lives in word v/64, bit v%64)
-// with WordsPerColor() words per color. The word-span Evaluate needs a
-// caller-owned WideScratch so concurrent evaluations (parallel frontier
-// expansion) never share closure buffers. All precomputation is per
-// graph; Evaluate is allocation-free and iterates only over set bits of
-// the masks involved.
+// with WordsPerColor() words per color. Both paths read H(v) and the
+// children of v from the graph's CSR rows, the adjacency the rules kernel
+// (core/rules.h) and the search share, so construction costs O(n + E).
+// The word-span Evaluate needs a caller-owned WideScratch so concurrent
+// evaluations (parallel frontier expansion) never share closure buffers.
+// Evaluate is allocation-free once the scratch is sized and iterates only
+// over set bits of the masks involved and the CSR rows of their nodes.
 #pragma once
 
 #include <cstdint>
@@ -106,8 +108,8 @@ class StateBound {
   Weight Evaluate(std::uint32_t red, std::uint32_t blue) const;
 
   // Reusable closure buffers for the word-span Evaluate. One per calling
-  // thread; sized on first use and never shrunk. `tmp` additionally
-  // carries toggled successor masks for the incremental slow paths.
+  // thread; sized on first use and never shrunk. `tmp` holds
+  // StartBound's empty red mask.
   struct WideScratch {
     std::vector<std::uint64_t> need;
     std::vector<std::uint64_t> frontier;
@@ -149,20 +151,19 @@ class StateBound {
   void Prepare(const std::uint64_t* red, const std::uint64_t* blue,
                WideCtx& ctx, WideScratch& scratch) const;
 
-  // Exact O(1)/O(words) delta for the moves whose closure is provably
-  // unchanged (M1, M2, M3 with v ∉ need, M4 with no re-entry). Returns
-  // true and writes *h on the fast path; returns false when the move
-  // needs EvalMoveSlow. `move` must be legal in the ctx state.
+  // Exact delta for the moves whose closure is provably unchanged (M1,
+  // M2, every legal M3, M4 with no re-entry). Returns true and writes *h
+  // on the fast path; returns false when the move needs EvalMoveSlow,
+  // which only an M4 can. `move` must be legal in the ctx state.
   bool EvalMoveFast(const PackedCtx& ctx, MoveType type, NodeId v,
                     Weight* h) const;
   bool EvalMoveFast(const WideCtx& ctx, const std::uint64_t* red,
                     const std::uint64_t* blue, MoveType type, NodeId v,
                     Weight* h) const;
 
-  // Slow path: restricted re-walk for M3 (kept for direct callers and
-  // differential tests — EvalMoveFast answers every legal M3 exactly, so
-  // EvaluateMove never lands here for computes), seeded incremental
-  // extension for M4 (monotone closure growth through v).
+  // Slow path for an M4 that EvalMoveFast declined: seeded incremental
+  // extension of the ctx closure (monotone growth through v). `type` must
+  // be MoveType::kDelete.
   Weight EvalMoveSlow(const PackedCtx& ctx, MoveType type, NodeId v) const;
   Weight EvalMoveSlow(const WideCtx& ctx, const std::uint64_t* red,
                       const std::uint64_t* blue, MoveType type, NodeId v,
@@ -218,8 +219,8 @@ class StateBound {
   std::uint32_t parents_mask_[32] = {};
   std::uint32_t children_mask_[32] = {};
 
-  // Word-span adjacency + legality masks (built only when build_wide, or
-  // unconditionally above 32 nodes). Shared layout with the simulator.
+  // Word-span source/sink masks and required-red words (built only when
+  // build_wide, or unconditionally above 32 nodes).
   std::vector<std::uint64_t> wide_required_red_;
   std::optional<GraphMasks> wide_masks_;
 

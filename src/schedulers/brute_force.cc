@@ -104,16 +104,12 @@ class PackedOps {
         budget_(budget),
         require_sinks_blue_(options.require_sinks_blue) {
     const NodeId n = graph.num_nodes();
-    // Word 0 of the shared move-legality masks IS the packed mask set
-    // (the wide search and StateBound build theirs from the same
-    // GraphMasks).
-    const GraphMasks masks(graph);
-    sources_mask_ = static_cast<std::uint32_t>(masks.sources()[0]);
-    sinks_mask_ = static_cast<std::uint32_t>(masks.sinks()[0]);
-    node_mask_ = static_cast<std::uint32_t>(masks.nodes()[0]);
     parents_mask_.assign(n, 0);
     for (NodeId v = 0; v < n; ++v) {
-      parents_mask_[v] = static_cast<std::uint32_t>(masks.parents_of(v)[0]);
+      node_mask_ |= 1u << v;
+      if (graph.is_source(v)) sources_mask_ |= 1u << v;
+      if (graph.is_sink(v)) sinks_mask_ |= 1u << v;
+      for (const NodeId p : graph.parents(v)) parents_mask_[v] |= 1u << p;
     }
     initial_red_ = static_cast<std::uint32_t>(options.initial_red);
     initial_blue_ = static_cast<std::uint32_t>(
@@ -309,14 +305,18 @@ class WideOps {
     initial_red_.assign(words_, 0);
     initial_blue_.assign(words_, 0);
     for (NodeId v = 0; v < 64 && v < n; ++v) {
-      if ((options.initial_red >> v) & 1) SetBit(initial_red_.data(), v);
+      if ((options.initial_red >> v) & 1) {
+        GraphMasks::Set(initial_red_.data(), v);
+      }
       if ((options.required_red_at_end >> v) & 1) {
-        SetBit(required_red_.data(), v);
+        GraphMasks::Set(required_red_.data(), v);
       }
     }
     if (options.initial_blue.has_value()) {
       for (NodeId v = 0; v < 64 && v < n; ++v) {
-        if ((*options.initial_blue >> v) & 1) SetBit(initial_blue_.data(), v);
+        if ((*options.initial_blue >> v) & 1) {
+          GraphMasks::Set(initial_blue_.data(), v);
+        }
       }
     } else {
       initial_blue_.assign(masks_.sources(), masks_.sources() + words_);
@@ -441,7 +441,7 @@ class WideOps {
       for (std::uint64_t m = masks_.nodes()[w] & ~red[w] & ~masks_.sources()[w];
            m != 0; m &= m - 1) {
         const NodeId v = NodeAt(w, m);
-        if (!masks_.ParentsSubsetOf(v, red) ||
+        if (!GraphMasks::AllSet(graph_.parents(v), red) ||
             rw + graph_.weight(v) > budget_) {
           continue;
         }
@@ -485,7 +485,7 @@ class WideOps {
            m &= m - 1) {
         const NodeId v = NodeAt(w, m);
         red[w] ^= m & -m;
-        if (masks_.ParentsSubsetOf(v, red)) fn(c, 0);
+        if (GraphMasks::AllSet(graph_.parents(v), red)) fn(c, 0);
         red[w] ^= m & -m;
       }
     }
@@ -516,9 +516,6 @@ class WideOps {
  private:
   static std::size_t WordsFor(NodeId n) {
     return std::max<std::size_t>(1, (static_cast<std::size_t>(n) + 63) / 64);
-  }
-  static void SetBit(std::uint64_t* w, NodeId v) {
-    w[v >> 6] |= 1ull << (v & 63);
   }
   static NodeId NodeAt(std::size_t word, std::uint64_t m) {
     return static_cast<NodeId>(
@@ -1243,7 +1240,7 @@ Schedule Searcher<Ops>::Reconstruct() {
 }
 
 // Builds the searcher — the policy's masks, StateBound and state interner
-// — under its own span, then runs it.
+// — under its own span, runs it, and frees it under another.
 template <typename Ops>
 ScheduleResult SetUpAndRun(const Graph& graph, Weight budget,
                            const BruteForceOptions& options,
@@ -1253,7 +1250,12 @@ ScheduleResult SetUpAndRun(const Graph& graph, Weight budget,
     const obs::ScopedSpan span("search.setup");
     searcher.emplace(graph, budget, options);
   }
-  return searcher->Run(want_schedule, incumbent);
+  ScheduleResult result = searcher->Run(want_schedule, incumbent);
+  {
+    const obs::ScopedSpan span("search.teardown");
+    searcher.reset();
+  }
+  return result;
 }
 
 }  // namespace

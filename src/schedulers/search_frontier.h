@@ -10,7 +10,9 @@
 // allocate nothing.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -377,11 +379,17 @@ class LevelPool {
 // states from earlier waves while expanding, and TaskGroup::Wait is the
 // synchronizing edge). Slabs are fixed-size chunks behind an atomic
 // pointer directory, so interning never moves words a reader could hold.
+// A chunk holds kChunkBytes (64 KiB) of configurations: the largest
+// power-of-two number of states that fits, at least one, so a shard's
+// first state allocates no more at 342 words per color than at one.
 // Find() (lookup without insert) is only called from the single-threaded
 // reconstruction walk.
 class StateInterner {
  public:
-  explicit StateInterner(std::size_t words) : words_(words) {}
+  explicit StateInterner(std::size_t words)
+      : words_(words),
+        chunk_shift_(ChunkShift(words)),
+        chunk_mask_((std::uint32_t{1} << chunk_shift_) - 1) {}
 
   // Per-worker lookaside over Intern(): a direct-mapped {hash -> id}
   // table that answers repeat interns of hot configurations without
@@ -423,8 +431,9 @@ class StateInterner {
   }
 
   // Interns `w` (words_ words) and returns its id; false when the chunk
-  // directory is exhausted (the caller treats it as a memory cap — at
-  // default chunking that is >500M states, far past any byte budget).
+  // directory is exhausted (the caller treats it as a memory cap). Every
+  // chunk holds more than 32 KiB, so 64 shards of 2,048 chunks hold over
+  // 4 GiB of configurations at any width, the default frontier_bytes_cap.
   bool Intern(const std::uint64_t* w, SearchState* id) {
     return InternHashed(w, Hash(w), id);
   }
@@ -440,16 +449,15 @@ class StateInterner {
       return true;
     }
     const std::uint32_t local = shard.count;
-    const std::size_t chunk = local / kChunkStates;
+    const std::size_t chunk = local >> chunk_shift_;
     if (chunk >= kMaxChunks) return false;
     if (shard.chunks[chunk].load(std::memory_order_relaxed) == nullptr) {
-      shard.storage.push_back(
-          std::make_unique<std::uint64_t[]>(kChunkStates * words_));
+      shard.storage.push_back(std::make_unique<std::uint64_t[]>(ChunkWords()));
       shard.chunks[chunk].store(shard.storage.back().get(),
                                 std::memory_order_release);
     }
     std::uint64_t* dst = shard.chunks[chunk].load(std::memory_order_relaxed) +
-                         (local % kChunkStates) * words_;
+                         (local & chunk_mask_) * words_;
     std::memcpy(dst, w, words_ * sizeof(std::uint64_t));
     ++shard.count;
     if ((shard.count + 1) * 4 > shard.slots.size() * 3) {
@@ -484,9 +492,9 @@ class StateInterner {
   const std::uint64_t* Words(SearchState id) const {
     const Shard& shard = shards_[id & (kShardCount - 1)];
     const std::uint32_t local = static_cast<std::uint32_t>(id >> kShardBits);
-    return shard.chunks[local / kChunkStates].load(
+    return shard.chunks[local >> chunk_shift_].load(
                std::memory_order_acquire) +
-           (local % kChunkStates) * words_;
+           (local & chunk_mask_) * words_;
   }
 
   std::size_t words() const { return words_; }
@@ -500,8 +508,7 @@ class StateInterner {
   std::size_t MemoryBytes() const {
     std::size_t total = 0;
     for (const Shard& shard : shards_) {
-      total += shard.storage.size() * kChunkStates * words_ *
-                   sizeof(std::uint64_t) +
+      total += shard.storage.size() * ChunkWords() * sizeof(std::uint64_t) +
                shard.slots.capacity() * sizeof(std::uint32_t);
     }
     return total;
@@ -511,7 +518,7 @@ class StateInterner {
   static constexpr std::size_t kShardBits = 6;
   static constexpr std::size_t kShardCount = 1u << kShardBits;
   static constexpr std::size_t kInitialCapacity = 1024;
-  static constexpr std::size_t kChunkStates = 4096;
+  static constexpr std::size_t kChunkBytes = 64 * 1024;
   static constexpr std::size_t kMaxChunks = 2048;
 
   struct Shard {
@@ -542,9 +549,9 @@ class StateInterner {
   }
   const std::uint64_t* WordsIn(const Shard& shard,
                                std::uint32_t local) const {
-    return shard.chunks[local / kChunkStates].load(
+    return shard.chunks[local >> chunk_shift_].load(
                std::memory_order_relaxed) +
-           (local % kChunkStates) * words_;
+           (local & chunk_mask_) * words_;
   }
   std::uint32_t* Probe(Shard& shard, std::uint64_t h,
                        const std::uint64_t* w) {
@@ -566,7 +573,20 @@ class StateInterner {
     }
   }
 
+  // log2 of the states per chunk: the largest power of two whose
+  // configurations fit in kChunkBytes, at least one.
+  static unsigned ChunkShift(std::size_t words) {
+    const std::size_t states =
+        kChunkBytes / (std::max<std::size_t>(words, 1) * sizeof(std::uint64_t));
+    return states <= 1 ? 0 : static_cast<unsigned>(std::bit_width(states) - 1);
+  }
+  std::size_t ChunkWords() const {
+    return (std::size_t{1} << chunk_shift_) * words_;
+  }
+
   std::size_t words_;
+  unsigned chunk_shift_;
+  std::uint32_t chunk_mask_;  // states per chunk - 1
   Shard shards_[kShardCount];
 };
 

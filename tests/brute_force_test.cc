@@ -205,8 +205,8 @@ std::uint64_t SpanCount(const obs::SpanNode& node, const std::string& name) {
 }
 
 // The bb engine's work around Searcher::Run has spans of its own: the
-// incumbent seeding and the searcher's setup on every run, the canonical
-// reconstruction only when a schedule is wanted.
+// incumbent seeding and the searcher's setup and teardown on every run,
+// the canonical reconstruction only when a schedule is wanted.
 TEST(BruteForce, BbRunRecordsItsPhaseSpans) {
   const Graph g = MakeDiamond();
   BruteForceOptions options;
@@ -217,6 +217,7 @@ TEST(BruteForce, BbRunRecordsItsPhaseSpans) {
   EXPECT_EQ(SpanCount(spans, "search.seed_incumbent"), 1u);
   EXPECT_EQ(SpanCount(spans, "search.setup"), 1u);
   EXPECT_EQ(SpanCount(spans, "search.bb"), 1u);
+  EXPECT_EQ(SpanCount(spans, "search.teardown"), 1u);
   EXPECT_EQ(SpanCount(spans, "search.reconstruct"), 0u);
 
   const ScheduleResult result = BruteForceScheduler(g).Run(3, options);
@@ -225,6 +226,7 @@ TEST(BruteForce, BbRunRecordsItsPhaseSpans) {
   spans = obs::SnapshotSpans();
   EXPECT_EQ(SpanCount(spans, "search.seed_incumbent"), 2u);
   EXPECT_EQ(SpanCount(spans, "search.setup"), 2u);
+  EXPECT_EQ(SpanCount(spans, "search.teardown"), 2u);
   EXPECT_EQ(SpanCount(spans, "search.reconstruct"), 1u);
 }
 

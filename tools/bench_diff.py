@@ -42,7 +42,8 @@ row's relabeled graph was not matched to its reference (found), changed
 hash (hash_invariant) or was not recognized, its schedule was rejected
 by the simulator (valid), or its graph did not survive a wrbpg-bin-v1
 round trip (round_trip), and when a family's canonical-layer time
-(time_ms), simulator time (simulate_ms) or decoder time (decode_ms)
+(time_ms), simulator time (simulate_ms), decoder time (decode_ms) or bb
+setup time (bb_setup_ms: one bb run with an already-cancelled token)
 grows by more than MAX_GROWTH (3x) per doubling of the node count from
 its smallest row to its largest.
 Gating the whole span rather than each consecutive pair keeps one
@@ -296,7 +297,8 @@ def diff_anytime(base, cur):
 def diff_canonical_scaling(cur):
     """Self-gated: correctness flags per row, then each family's growth
     per node doubling from its smallest row to its largest, for the
-    canonical layer, the simulator and the binary decoder."""
+    canonical layer, the simulator, the binary decoder and the bb
+    engine's setup (a run with an already-cancelled token)."""
     failures = []
     families = {}
     for row in cur["rows"]:
@@ -316,7 +318,7 @@ def diff_canonical_scaling(cur):
     for family, rows in sorted(families.items()):
         rows.sort(key=lambda r: r["nodes"])
         first, last = rows[0], rows[-1]
-        for metric in ("time_ms", "simulate_ms", "decode_ms"):
+        for metric in ("time_ms", "simulate_ms", "decode_ms", "bb_setup_ms"):
             if len(rows) < 2 or first.get(metric, 0) <= 0:
                 failures.append(f"{family}: fewer than two rows with "
                                 f"{metric}")
