@@ -190,8 +190,10 @@ int PrintHelp() {
       "      Pre-synthesis design-space exploration (DESIGN.md §15): sweep\n"
       "      the red-budget band at --budget-step (default 16) across the\n"
       "      SRAM word widths in --words (default 8,16,32), price every\n"
-      "      point through the anytime solver and the SRAM/energy models,\n"
-      "      and report the Pareto frontier over (area, leakage, energy,\n"
+      "      point through the anytime solver and the SRAM/energy models\n"
+      "      (budgets above the first whose optimum meets the Prop 2.4\n"
+      "      bound copy its row instead of a search), and report the\n"
+      "      Pareto frontier over (area, leakage, energy,\n"
       "      io_cost) as a table plus an ASCII area-vs-energy plot. The\n"
       "      band defaults to [min valid budget, derived min-memory +\n"
       "      --slack]. --scheduler bb (default) prices each budget with\n"
@@ -520,6 +522,7 @@ int RunExplore(const CliArgs& args, const LoadedGraph& loaded) {
   if (result.frontier.empty()) {
     std::cerr << "no feasible design point (scanned "
               << result.budgets_scanned << " budgets, "
+              << result.budgets_certified << " certified, "
               << result.infeasible_budgets << " infeasible, "
               << result.invalid_points << " invalid points)\n";
     return 1;

@@ -26,9 +26,16 @@ const obs::Counter& ProbesSkipped() {
 }  // namespace
 
 Weight AlgorithmicLowerBound(const Graph& graph) {
+  // An isolated node is both a source and a sink: it starts blue, which
+  // already meets its stop condition, so it needs neither a load nor a
+  // store and counts in neither sum.
   Weight sum = 0;
-  for (NodeId v : graph.sources()) sum += graph.weight(v);
-  for (NodeId v : graph.sinks()) sum += graph.weight(v);
+  for (NodeId v : graph.sources()) {
+    if (!graph.is_sink(v)) sum += graph.weight(v);
+  }
+  for (NodeId v : graph.sinks()) {
+    if (!graph.is_source(v)) sum += graph.weight(v);
+  }
   return sum;
 }
 

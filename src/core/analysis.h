@@ -14,6 +14,11 @@ namespace wrbpg {
 
 // Proposition 2.4: Cost(S_G) >= sum_{v in A(G)} w_v + sum_{v in Z(G)} w_v
 // for every valid schedule. Widely used as the best-case I/O estimate.
+// A node in both A(G) and Z(G) (isolated; only graphs built without
+// require_disjoint_sources_sinks have one) needs no I/O and is not
+// counted, so the bound stays sound on every graph. Every other source
+// must be loaded and every other sink stored, so a schedule that meets
+// the bound loads exactly the source sum and stores exactly the sink sum.
 Weight AlgorithmicLowerBound(const Graph& graph);
 
 // The smallest budget for which a valid schedule exists: by Proposition 2.3

@@ -1,5 +1,7 @@
 #include "explore/explore.h"
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <chrono>
 #include <cstdint>
@@ -7,6 +9,7 @@
 #include <vector>
 
 #include "core/analysis.h"
+#include "core/simulator.h"
 #include "ganalysis/bounds.h"
 #include "hardware/energy_model.h"
 #include "hardware/sram_model.h"
@@ -31,11 +34,13 @@ struct SolveRow {
   Termination termination = Termination::kComplete;
   Weight bits_loaded = 0;
   Weight bits_stored = 0;
+  bool searched = false;
   double elapsed_ms = 0;
+  std::string error;  // the simulator disagreed with the solver
 };
 
 SolveRow SolveBudget(const Graph& graph, Weight budget,
-                     const ExploreOptions& options) {
+                     const ExploreOptions& options, const CancelToken& stop) {
   const auto start = std::chrono::steady_clock::now();
   ScheduleResult result;
   if (options.scheduler == ExploreScheduler::kBranchAndBound) {
@@ -46,7 +51,7 @@ SolveRow SolveBudget(const Graph& graph, Weight budget,
     // sequential so N outer workers never oversubscribe the machine.
     bf.threads = 1;
     bf.root_lower_bound = BestCertifiedBound(graph, budget);
-    bf.cancel = options.cancel;
+    bf.cancel = &stop;
     result = BruteForceScheduler(graph).Run(budget, bf);
   } else {
     RobustOptions ro;
@@ -56,23 +61,86 @@ SolveRow SolveBudget(const Graph& graph, Weight budget,
   }
 
   SolveRow row;
+  row.searched = true;
+  row.feasible = result.feasible;
+  if (result.feasible) {
+    // Price only what the simulator accepts: a certified row stands for
+    // every larger budget, so its traffic split must be a replayed fact.
+    const SimResult sim = Simulate(graph, budget, result.schedule);
+    const std::string at = "budget " + std::to_string(budget) + ": ";
+    if (!sim.valid) {
+      row.error = at + "the simulator rejected the schedule at move " +
+                  std::to_string(sim.error_index) + ": " + sim.error;
+    } else if (sim.cost != result.cost) {
+      row.error = at + "the simulator priced the schedule at " +
+                  std::to_string(sim.cost) + " bits, the solver at " +
+                  std::to_string(result.cost);
+    }
+    row.cost = result.cost;
+    row.lower_bound = result.lower_bound;
+    row.gap = result.optimality_gap;
+    row.termination = result.termination;
+    for (const Move& move : result.schedule) {
+      if (move.type == MoveType::kLoad) {
+        row.bits_loaded += graph.weight(move.node);
+      } else if (move.type == MoveType::kStore) {
+        row.bits_stored += graph.weight(move.node);
+      }
+    }
+  }
   row.elapsed_ms = std::chrono::duration<double, std::milli>(
                        std::chrono::steady_clock::now() - start)
                        .count();
-  row.feasible = result.feasible;
-  if (!result.feasible) return row;
-  row.cost = result.cost;
-  row.lower_bound = result.lower_bound;
-  row.gap = result.optimality_gap;
-  row.termination = result.termination;
-  for (const Move& move : result.schedule) {
-    if (move.type == MoveType::kLoad) {
-      row.bits_loaded += graph.weight(move.node);
-    } else if (move.type == MoveType::kStore) {
-      row.bits_stored += graph.weight(move.node);
-    }
-  }
   return row;
+}
+
+// Solves budgets in ascending order from one shared index and stops past
+// the knee: once a row costs `bound` (the Prop 2.4 bound), every larger
+// budget has that optimum with the same load/store split (DESIGN.md
+// §15.2), so a worker skips any index above the smallest at-bound one
+// seen, and a bb search of such an index still running is cancelled. Every
+// index up to the final knee is searched to completion at any thread
+// count; returns the knee (rows.size() when no row meets the bound).
+std::size_t SolveBand(const Graph& graph, const std::vector<Weight>& budgets,
+                      Weight bound, const ExploreOptions& options,
+                      std::vector<SolveRow>& rows) {
+  std::atomic<std::size_t> next{0};
+  std::atomic<std::size_t> knee{budgets.size()};
+  // One stop token per budget, each also fired by the caller's token.
+  std::vector<CancelToken> stops;
+  stops.reserve(budgets.size());
+  for (std::size_t i = 0; i < budgets.size(); ++i) {
+    stops.emplace_back(options.cancel);
+  }
+  auto work = [&] {
+    for (;;) {
+      if (options.cancel != nullptr && options.cancel->cancelled()) return;
+      const std::size_t i = next.fetch_add(1);
+      // Indices come out ascending and the knee only falls, so nothing
+      // this worker could take later is at or below the knee either.
+      if (i >= budgets.size() || i > knee.load()) return;
+      rows[i] = SolveBudget(graph, budgets[i], options, stops[i]);
+      if (!rows[i].feasible || !rows[i].error.empty() ||
+          rows[i].cost != bound) {
+        continue;
+      }
+      std::size_t seen = knee.load();
+      while (i < seen && !knee.compare_exchange_weak(seen, i)) {
+      }
+      // Rows above the old knee were stopped when it fell there.
+      for (std::size_t j = i + 1; j < seen; ++j) stops[j].Cancel();
+    }
+  };
+  const std::size_t workers =
+      std::min(ResolveThreadCount(options.threads), budgets.size());
+  if (workers <= 1) {
+    work();
+  } else {
+    ThreadPool pool(workers);
+    for (std::size_t w = 0; w < workers; ++w) pool.Submit(work);
+    pool.Wait();
+  }
+  return knee.load();
 }
 
 // Derived band cap: the smallest scanned budget where the Belady heuristic
@@ -213,6 +281,7 @@ ExploreResult Explore(const Graph& graph, const ExploreOptions& options) {
   static const obs::Counter points_counter("explore.points");
   static const obs::Counter invalid_counter("explore.invalid_points");
   static const obs::Counter infeasible_counter("explore.infeasible_budgets");
+  static const obs::Counter certified_counter("explore.budgets_certified");
   static const obs::Gauge frontier_gauge("explore.frontier_size");
   obs::ScopedSpan span("explore");
 
@@ -258,35 +327,29 @@ ExploreResult Explore(const Graph& graph, const ExploreOptions& options) {
   result.budgets_scanned = budgets.size();
   budgets_counter.Add(budgets.size());
 
-  // Solve every budget, embarrassingly parallel, each task writing only
-  // its own row (the §8 determinism contract: fold by index afterwards).
   std::vector<SolveRow> rows(budgets.size());
-  const std::size_t threads = ResolveThreadCount(options.threads);
-  if (threads <= 1 || budgets.size() <= 1) {
-    for (std::size_t i = 0; i < budgets.size(); ++i) {
-      if (options.cancel != nullptr && options.cancel->cancelled()) break;
-      rows[i] = SolveBudget(graph, budgets[i], options);
-    }
-  } else {
-    ThreadPool pool(threads);
-    ParallelFor(pool, 0, static_cast<std::int64_t>(budgets.size()),
-                [&](std::int64_t i) {
-                  if (options.cancel != nullptr &&
-                      options.cancel->cancelled()) {
-                    return;
-                  }
-                  rows[static_cast<std::size_t>(i)] =
-                      SolveBudget(graph, budgets[static_cast<std::size_t>(i)],
-                                  options);
-                });
-  }
+  const std::size_t knee = SolveBand(
+      graph, budgets, AlgorithmicLowerBound(graph), options, rows);
   if (options.cancel != nullptr && options.cancel->cancelled()) {
     result.error = "cancelled";
     return result;
   }
   for (const SolveRow& row : rows) {
-    obs::RecordSpan("explore.solve", row.elapsed_ms);
+    if (row.searched) obs::RecordSpan("explore.solve", row.elapsed_ms);
   }
+  // Rows up to the knee were all searched; the first one the simulator
+  // disputes fails the sweep, whichever worker found it.
+  for (std::size_t i = 0; i <= knee && i < rows.size(); ++i) {
+    if (!rows[i].error.empty()) {
+      result.error = rows[i].error;
+      return result;
+    }
+  }
+  // Every row above the knee is a copy of the knee's row, searched or not,
+  // so the result does not depend on how far workers raced past it.
+  for (std::size_t i = knee + 1; i < rows.size(); ++i) rows[i] = rows[knee];
+  if (knee < rows.size()) result.budgets_certified = rows.size() - knee - 1;
+  certified_counter.Add(result.budgets_certified);
 
   // Price the grid in fixed budget-major, word-width-minor order.
   {

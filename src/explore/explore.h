@@ -21,20 +21,32 @@
 //                a synthesis precondition; rejected combinations are
 //                skipped-and-counted, never fatal — see TrySynthesizeSram).
 //
+// Budgets are solved in ascending order up to the knee: the first budget
+// whose solved cost equals the Prop 2.4 bound (AlgorithmicLowerBound).
+// Optimal I/O never rises with the budget and never drops below that
+// bound, so every larger budget has the same optimum with the same forced
+// load/store split; its row is a copy of the knee's row, certified rather
+// than searched (counted in ExploreResult::budgets_certified).
+//
 // Each point composes schedule I/O cost -> TrySynthesizeSram ->
 // EstimateScheduleEnergy into (area_λ², leakage_mW, energy_nJ, io_cost)
 // plus the ANYTIME certificate: exact points are intractable in general
 // (the game is PSPACE-hard), so every point is solved by the bb engine (or
-// the robust chain) and carries cost, lower bound, and certified
-// optimality gap — a point is trustworthy when its gap is zero and
-// honestly uncertain otherwise, never silently wrong.
+// the robust chain) or certified from the knee, and carries cost, lower
+// bound, and certified optimality gap — a point is trustworthy when its
+// gap is zero and honestly uncertain otherwise, never silently wrong.
+// Every searched schedule is replayed through the simulator before it is
+// priced.
 //
-// Determinism contract (DESIGN.md §8): budgets are solved
-// embarrassingly-parallel on the util ThreadPool, each task writing its
-// own index; points are derived from the solved rows in fixed grid order
-// (budget-major, word-width-minor) and the dominance pass is a pure fold.
-// With the default deadline_ms == 0 the result is bit-identical at any
-// thread count (pinned at 1/2/8 threads by explore_test); a nonzero
+// Determinism contract (DESIGN.md §8): workers take budgets from one
+// shared ascending index and each writes only its own row; every budget
+// up to the knee is searched to completion at any thread count, a search
+// a worker started above the knee is cancelled once the knee is known,
+// and every row above it becomes a copy of the knee's row whether or not
+// a worker raced past the knee and searched it. Points are derived from the rows in fixed grid
+// order (budget-major, word-width-minor) and the dominance pass is a pure
+// fold. With the default deadline_ms == 0 the result is bit-identical at
+// any thread count (pinned at 1/2/8 threads by explore_test); a nonzero
 // per-point deadline trades that for bounded latency, the same trade the
 // robust chain documents.
 #pragma once
@@ -90,10 +102,10 @@ struct ExploreOptions {
   // the default grid bit-identical across thread counts).
   double deadline_ms = 0;
   // State safety valve per bb solve (see BruteForceOptions::max_states).
-  // Deliberately far below the engine's default: a sweep prices dozens of
-  // budgets, and the tight-budget points at the bottom of the band explode
-  // combinatorially — the anytime contract turns the cap into a certified
-  // gap instead of a hang.
+  // Deliberately far below the engine's default: a sweep searches every
+  // budget up to the knee, and the tight-budget points at the bottom of
+  // the band explode combinatorially — the anytime contract turns the cap
+  // into a certified gap instead of a hang.
   std::size_t max_states = 200'000;
   // Execution-window stretch for the energy model (1.0 = memory-bound).
   double duty_cycle = 1.0;
@@ -140,6 +152,9 @@ struct ExploreResult {
   Weight budget_step = 0;
 
   std::size_t budgets_scanned = 0;
+  // Budgets above the first one whose optimum meets the Prop 2.4 bound:
+  // their rows copy that row instead of a search (DESIGN.md §15.1).
+  std::size_t budgets_certified = 0;
   std::size_t infeasible_budgets = 0;  // no valid schedule (Prop 2.3)
   std::size_t invalid_points = 0;      // SRAM synthesis rejections skipped
 
@@ -171,7 +186,9 @@ bool VerifyFrontier(const std::vector<ExplorePoint>& points,
 std::uint64_t FrontierHash(const ExploreResult& result);
 
 // Prices the whole grid and runs the dominance pass. Never aborts:
-// malformed options come back ok == false, malformed grid points are
+// malformed options and a fired cancel token come back ok == false, as
+// does a searched schedule the simulator rejects or prices differently
+// from the solver (the error names the budget); malformed grid points are
 // skipped-and-counted.
 ExploreResult Explore(const Graph& graph, const ExploreOptions& options = {});
 

@@ -44,7 +44,8 @@ std::string RenderExploreTable(const ExploreResult& result) {
       << "] step " << result.budget_step << ": " << result.points.size()
       << " points, " << result.frontier.size() << " on frontier, "
       << result.dominated << " dominated, " << result.infeasible_budgets
-      << " infeasible budgets, " << result.invalid_points
+      << " infeasible budgets, " << result.budgets_certified
+      << " budgets certified past the knee, " << result.invalid_points
       << " invalid points skipped\n";
   TextTable table({"Budget", "Capacity", "Word", "IO cost", "LB", "Gap",
                    "Area (lambda^2)", "Leakage (mW)", "Energy (nJ)",
@@ -129,6 +130,8 @@ obs::Json ExploreToJson(const std::string& instance,
   doc.Set("band", std::move(band));
   doc.Set("budgets_scanned",
           static_cast<std::uint64_t>(result.budgets_scanned));
+  doc.Set("budgets_certified",
+          static_cast<std::uint64_t>(result.budgets_certified));
   doc.Set("infeasible_budgets",
           static_cast<std::uint64_t>(result.infeasible_budgets));
   doc.Set("invalid_points", static_cast<std::uint64_t>(result.invalid_points));

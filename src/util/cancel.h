@@ -23,6 +23,13 @@ class CancelToken {
  public:
   CancelToken() : stop_(std::make_shared<std::atomic<bool>>(false)) {}
 
+  // A fresh token (its own stop flag, no deadline) that also reads as
+  // cancelled whenever `parent` does; cancelling it leaves `parent` alone.
+  // `parent` may be null and must outlive this token and its copies.
+  explicit CancelToken(const CancelToken* parent) : CancelToken() {
+    parent_ = parent;
+  }
+
   static CancelToken WithDeadline(std::chrono::nanoseconds budget) {
     CancelToken token;
     token.has_deadline_ = true;
@@ -39,6 +46,7 @@ class CancelToken {
 
   bool cancelled() const {
     if (stop_->load(std::memory_order_relaxed)) return true;
+    if (parent_ != nullptr && parent_->cancelled()) return true;
     if (has_deadline_ && std::chrono::steady_clock::now() >= deadline_) {
       stop_->store(true, std::memory_order_relaxed);
       return true;
@@ -57,6 +65,7 @@ class CancelToken {
 
  private:
   std::shared_ptr<std::atomic<bool>> stop_;
+  const CancelToken* parent_ = nullptr;
   bool has_deadline_ = false;
   std::chrono::steady_clock::time_point deadline_{};
 };

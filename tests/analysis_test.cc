@@ -17,6 +17,14 @@ TEST(Analysis, AlgorithmicLowerBoundSumsSourcesAndSinks) {
   EXPECT_EQ(AlgorithmicLowerBound(g), 3 + 5 + 13);
 }
 
+TEST(Analysis, AlgorithmicLowerBoundSkipsIsolatedNodes) {
+  // An isolated node starts blue, which meets its stop condition, so it
+  // needs neither a load nor a store.
+  const Graph g = MakeDiamond({3, 5, 7, 11, 13});
+  const Graph with_isolated = testing::WithIsolatedNode(g, 17);
+  EXPECT_EQ(AlgorithmicLowerBound(with_isolated), AlgorithmicLowerBound(g));
+}
+
 TEST(Analysis, MinValidBudgetIsWorstComputeFootprint) {
   const Graph g = MakeDiamond({3, 5, 7, 11, 13});
   // Node 2 needs 7+3+5=15; node 3 needs 11+5=16; node 4 needs 13+7+11=31.

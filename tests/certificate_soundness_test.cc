@@ -14,6 +14,7 @@
 #include "dataflows/dwt_graph.h"
 #include "dataflows/tree_graph.h"
 #include "ganalysis/bounds.h"
+#include "robust/robust_scheduler.h"
 #include "schedulers/brute_force.h"
 #include "schedulers/dwt_optimal.h"
 #include "schedulers/kary_tree.h"
@@ -64,6 +65,48 @@ TEST(CertificateSoundness, NeverExceedsExactOptimumAcrossBudgetBand) {
       }
       EXPECT_LE(BestCertifiedBound(c.graph, budget), optimum);
     }
+  }
+}
+
+// kary(2,3) plus one isolated 32-bit node. The node starts blue and so
+// needs no I/O, but the Prop 2.4 bound once counted it as a source and a
+// sink: at budget 48 a bb run capped at one state, and the robust chain
+// with the same exact-stage cap, shipped Belady's 304-bit schedule as
+// proven optimal against a true optimum of 240. Every bound the search
+// layer reports must stay at or below the exact optimum.
+TEST(CertificateSoundness, IsolatedNodeAddsNoBound) {
+  const Graph tree = BuildPerfectTree(2, 3).graph;
+  const Graph g = testing::WithIsolatedNode(tree, 32);
+  EXPECT_EQ(AlgorithmicLowerBound(g), AlgorithmicLowerBound(tree));
+
+  BruteForceOptions dijkstra;
+  dijkstra.engine = SearchEngine::kDijkstra;
+  RobustOptions robust;
+  robust.exact_max_states = 1;
+  robust.threads = 1;
+  const Weight expected[] = {240, 176, 144, 144};
+  for (Weight budget = 48; budget <= 96; budget += 16) {
+    const Weight optimum = BruteForceScheduler(g).Run(budget, dijkstra).cost;
+    EXPECT_EQ(optimum, expected[(budget - 48) / 16]) << "@" << budget;
+    for (const BoundCertificate& cert : ComputeBoundCertificates(g, budget)) {
+      EXPECT_TRUE(VerifyCertificate(g, cert).ok)
+          << "@" << budget << " " << ToString(cert.kind);
+      EXPECT_LE(cert.value, optimum)
+          << "@" << budget << " " << ToString(cert.kind);
+    }
+
+    BruteForceOptions capped;
+    capped.engine = SearchEngine::kBranchAndBound;
+    capped.max_states = 1;
+    capped.threads = 1;
+    capped.root_lower_bound = BestCertifiedBound(g, budget);
+    const ScheduleResult bb = BruteForceScheduler(g).Run(budget, capped);
+    ASSERT_TRUE(bb.feasible) << "@" << budget;
+    EXPECT_LE(bb.lower_bound, optimum) << "bb @" << budget;
+
+    const RobustResult chain = RobustScheduler(g).Run(budget, robust);
+    ASSERT_TRUE(chain.result.feasible) << "@" << budget;
+    EXPECT_LE(chain.result.lower_bound, optimum) << "robust @" << budget;
   }
 }
 

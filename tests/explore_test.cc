@@ -1,6 +1,8 @@
 // Design-space explorer (src/explore/) contract tests: grid properties,
-// the DESIGN.md §8 cross-thread bit-identity promise, and tamper
-// rejection by the independent frontier verifier.
+// the DESIGN.md §8 cross-thread bit-identity promise, rows certified past
+// the knee (§15.1–15.3), and tamper rejection by the independent frontier
+// verifier.
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -9,16 +11,24 @@
 
 #include "core/analysis.h"
 #include "dataflows/builtin_spec.h"
+#include "dataflows/random_dag.h"
+#include "dataflows/tree_graph.h"
 #include "explore/explore.h"
 #include "explore/report.h"
+#include "ganalysis/bounds.h"
 #include "hardware/sram_model.h"
+#include "obs/metrics.h"
+#include "obs/span.h"
+#include "schedulers/brute_force.h"
+#include "tests/test_helpers.h"
 #include "util/cancel.h"
+#include "util/rng.h"
 
 namespace wrbpg {
 namespace {
 
-// kary:2,3 explores in ~100 ms at the default max_states; dwt would work
-// too but is ~10x slower — the properties are the same.
+// kary:2,3 explores in a few ms at the default max_states; dwt would work
+// too but is slower — the properties are the same.
 ExploreResult ExploreKary(std::size_t threads = 1) {
   const BuiltinGraph built = BuildBuiltinGraph("kary:2,3");
   EXPECT_TRUE(built.ok) << built.error;
@@ -113,6 +123,210 @@ TEST(ExploreDeterminism, BitIdenticalAcrossThreadCounts) {
     }
     EXPECT_EQ(tn.frontier, t1.frontier);
   }
+}
+
+// One budget's row as a fresh search prices it: the bb engine with the
+// options Explore solves under.
+struct FreshRow {
+  bool feasible = false;
+  Weight cost = 0;
+  Weight lower_bound = 0;
+  Weight gap = 0;
+  Termination termination = Termination::kComplete;
+  Weight bits_loaded = 0;
+  Weight bits_stored = 0;
+};
+
+FreshRow FreshSearch(const Graph& graph, Weight budget,
+                     const ExploreOptions& options) {
+  BruteForceOptions bf;
+  bf.engine = SearchEngine::kBranchAndBound;
+  bf.max_states = options.max_states;
+  bf.threads = 1;
+  bf.root_lower_bound = BestCertifiedBound(graph, budget);
+  const ScheduleResult result = BruteForceScheduler(graph).Run(budget, bf);
+  FreshRow row;
+  row.feasible = result.feasible;
+  if (!result.feasible) return row;
+  row.cost = result.cost;
+  row.lower_bound = result.lower_bound;
+  row.gap = result.optimality_gap;
+  row.termination = result.termination;
+  for (const Move& move : result.schedule) {
+    if (move.type == MoveType::kLoad) row.bits_loaded += graph.weight(move.node);
+    if (move.type == MoveType::kStore) row.bits_stored += graph.weight(move.node);
+  }
+  return row;
+}
+
+void ExpectPointIs(const ExplorePoint& point, const FreshRow& row,
+                   const std::string& label) {
+  const std::string at = label + " @" + std::to_string(point.budget);
+  EXPECT_TRUE(row.feasible) << at;
+  EXPECT_EQ(point.io_cost, row.cost) << at;
+  EXPECT_EQ(point.lower_bound, row.lower_bound) << at;
+  EXPECT_EQ(point.gap, row.gap) << at;
+  EXPECT_EQ(point.termination, row.termination) << at;
+  EXPECT_EQ(point.bits_loaded, row.bits_loaded) << at;
+  EXPECT_EQ(point.bits_stored, row.bits_stored) << at;
+}
+
+// Explores `graph` at 1, 2 and 8 threads and checks every point against a
+// fresh search at its budget, plus the infeasible and certified counts.
+void ExpectRowsAreFreshSearches(const Graph& graph, ExploreOptions options,
+                                const std::string& label) {
+  options.threads = 1;
+  const ExploreResult first = Explore(graph, options);
+  ASSERT_TRUE(first.ok) << label << ": " << first.error;
+  std::vector<FreshRow> fresh;
+  std::size_t infeasible = 0;
+  std::size_t knee = first.budgets_scanned;
+  for (Weight b = first.budget_lo; b <= first.budget_hi;
+       b += first.budget_step) {
+    fresh.push_back(FreshSearch(graph, b, options));
+    if (!fresh.back().feasible) ++infeasible;
+    if (knee == first.budgets_scanned && fresh.back().feasible &&
+        fresh.back().cost == AlgorithmicLowerBound(graph)) {
+      knee = fresh.size() - 1;
+    }
+  }
+  ASSERT_EQ(fresh.size(), first.budgets_scanned) << label;
+  const std::size_t certified =
+      knee < fresh.size() ? fresh.size() - knee - 1 : 0;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    options.threads = threads;
+    const ExploreResult result = Explore(graph, options);
+    const std::string at = label + " threads=" + std::to_string(threads);
+    ASSERT_TRUE(result.ok) << at << ": " << result.error;
+    EXPECT_EQ(result.infeasible_budgets, infeasible) << at;
+    EXPECT_EQ(result.budgets_certified, certified) << at;
+    for (const ExplorePoint& point : result.points) {
+      const Weight index = (point.budget - result.budget_lo) /
+                           result.budget_step;
+      ExpectPointIs(point, fresh[static_cast<std::size_t>(index)], at);
+    }
+    EXPECT_EQ(FrontierHash(result), FrontierHash(first)) << at;
+  }
+}
+
+// Explore's derived band, and a pinned band that starts below the Prop 2.3
+// floor so infeasible rows come first.
+void ExpectBothBandsAreFreshSearches(const Graph& graph,
+                                     const std::string& label) {
+  ExpectRowsAreFreshSearches(graph, {}, label + " derived");
+  ExploreOptions pinned;
+  const Weight floor = MinValidBudget(graph);
+  pinned.budget_lo = std::max<Weight>(1, floor - pinned.budget_step);
+  pinned.budget_hi = floor + 6 * pinned.budget_step;
+  ExpectRowsAreFreshSearches(graph, pinned, label + " pinned");
+}
+
+TEST(ExploreCertified, RowsEqualFreshSearchesOnBuiltins) {
+  for (const char* spec : {"kary:2,2", "dwt:4,1", "dwt:4,2", "mvm:2,2",
+                           "kary:2,3", "butterfly:4"}) {
+    const BuiltinGraph built = BuildBuiltinGraph(spec);
+    ASSERT_TRUE(built.ok) << built.error;
+    ExpectBothBandsAreFreshSearches(built.graph(), spec);
+  }
+}
+
+TEST(ExploreCertified, RowsEqualFreshSearchesOnRandomDags) {
+  RandomDagOptions dag;
+  dag.num_layers = 3;
+  dag.nodes_per_layer = 4;
+  dag.min_weight = 4;
+  dag.max_weight = 24;
+  for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+    Rng rng(seed);
+    const Graph graph = BuildRandomDag(rng, dag);
+    ASSERT_LE(graph.num_nodes(), 12u);
+    ExpectBothBandsAreFreshSearches(graph,
+                                    "random seed " + std::to_string(seed));
+  }
+}
+
+// kary(2,2) plus an isolated 16-bit node: the optimum is 112 at budget 48
+// and 80 from 64 up. 112 is also what the Prop 2.4 bound read when it
+// counted the isolated node twice, so a knee taken from that sum would
+// copy 112 into every larger budget.
+TEST(ExploreCertified, IsolatedNodeDoesNotMoveTheKnee) {
+  const Graph graph =
+      testing::WithIsolatedNode(BuildPerfectTree(2, 2).graph, 16);
+  ExploreOptions options;
+  options.budget_lo = 48;
+  options.budget_hi = 112;
+  options.word_bits = {16};
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    options.threads = threads;
+    const ExploreResult result = Explore(graph, options);
+    ASSERT_TRUE(result.ok) << result.error;
+    ASSERT_EQ(result.points.size(), 5u);
+    EXPECT_EQ(result.points[0].io_cost, 112);
+    for (std::size_t i = 1; i < result.points.size(); ++i) {
+      const ExplorePoint& p = result.points[i];
+      EXPECT_EQ(p.io_cost, 80) << "@" << p.budget;
+      EXPECT_EQ(p.gap, 0) << "@" << p.budget;
+    }
+    EXPECT_EQ(result.budgets_certified, 3u);
+  }
+}
+
+// dwt(8,2) at max_states 5000: budget 64 is the first whose optimum meets
+// the Prop 2.4 bound, and a fresh search at 80 stops at the cap with a
+// gap. Explore prices 80 and up from the budget-64 row: proven optimal.
+TEST(ExploreCertified, RowsPastTheKneeAreOptimalWhereASearchWouldCap) {
+  const BuiltinGraph built = BuildBuiltinGraph("dwt:8,2");
+  ASSERT_TRUE(built.ok) << built.error;
+  const Graph& graph = built.graph();
+  const Weight bound = AlgorithmicLowerBound(graph);
+  ExploreOptions options;
+  options.max_states = 5000;
+  options.word_bits = {16};
+  const FreshRow below = FreshSearch(graph, 48, options);
+  const FreshRow knee = FreshSearch(graph, 64, options);
+  ASSERT_NE(below.cost, bound);
+  ASSERT_EQ(knee.cost, bound);
+  const FreshRow capped = FreshSearch(graph, 80, options);
+  ASSERT_EQ(capped.termination, Termination::kMemoryCap);
+  ASSERT_GT(capped.gap, 0);
+
+  for (const std::size_t threads : {1u, 8u}) {
+    options.threads = threads;
+    const ExploreResult result = Explore(graph, options);
+    ASSERT_TRUE(result.ok) << result.error;
+    ASSERT_EQ(result.budget_lo, 48);
+    ASSERT_GE(result.points.size(), 3u);
+    EXPECT_EQ(result.budgets_certified, result.points.size() - 2);
+    ExpectPointIs(result.points[0], below, "dwt");
+    ExpectPointIs(result.points[1], knee, "dwt");
+    for (std::size_t i = 2; i < result.points.size(); ++i) {
+      const ExplorePoint& p = result.points[i];
+      ExpectPointIs(p, knee, "dwt certified");
+      EXPECT_EQ(p.gap, 0) << "@" << p.budget;
+      EXPECT_EQ(p.termination, Termination::kOptimal) << "@" << p.budget;
+    }
+  }
+}
+
+// explore.solve spans count the searches; the counter counts the rows
+// copied without one.
+TEST(ExploreCertified, SpansCountOnlySearchedBudgets) {
+  obs::ResetMetrics();
+  obs::ResetSpans();
+  const ExploreResult result = ExploreKary(1);
+  ASSERT_TRUE(result.ok) << result.error;
+  EXPECT_GT(result.budgets_certified, 0u);
+  EXPECT_EQ(obs::ReadMetric("explore.budgets_certified"),
+            result.budgets_certified);
+  const obs::SpanNode root = obs::SnapshotSpans();
+  std::uint64_t solves = 0;
+  for (const obs::SpanNode& top : root.children) {
+    if (top.name != "explore") continue;
+    for (const obs::SpanNode& child : top.children) {
+      if (child.name == "explore.solve") solves = child.count;
+    }
+  }
+  EXPECT_EQ(solves, result.budgets_scanned - result.budgets_certified);
 }
 
 TEST(ExploreDominance, DominatesRequiresStrictImprovementSomewhere) {

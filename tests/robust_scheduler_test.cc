@@ -38,6 +38,21 @@ TEST(CancelToken, ManualCancelIsSharedAcrossCopies) {
   EXPECT_TRUE(copy.cancelled());
 }
 
+TEST(CancelToken, ChildFollowsItsParentButNotTheOtherWay) {
+  const CancelToken parent;
+  const CancelToken child(&parent);
+  const CancelToken sibling(&parent);
+  EXPECT_FALSE(child.cancelled());
+  child.Cancel();
+  EXPECT_TRUE(child.cancelled());
+  EXPECT_FALSE(parent.cancelled());
+  EXPECT_FALSE(sibling.cancelled());
+  parent.Cancel();
+  EXPECT_TRUE(sibling.cancelled());
+  const CancelToken orphan(nullptr);
+  EXPECT_FALSE(orphan.cancelled());
+}
+
 TEST(CancelToken, DeadlineExpiryLatches) {
   const CancelToken token = CancelToken::WithDeadlineMs(0.0);
   EXPECT_TRUE(token.cancelled());

@@ -41,6 +41,19 @@ inline Graph MakeChain(std::size_t n, Weight w = 1) {
   return b.BuildOrDie();
 }
 
+// `graph` plus one isolated node of weight `w` (id graph.num_nodes()).
+// The node is both a source and a sink, so the builder's disjointness
+// check is relaxed.
+inline Graph WithIsolatedNode(const Graph& graph, Weight w) {
+  GraphBuilder b;
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) b.AddNode(graph.weight(v));
+  for (NodeId v = 0; v < graph.num_nodes(); ++v) {
+    for (NodeId child : graph.children(v)) b.AddEdge(v, child);
+  }
+  b.AddNode(w);
+  return b.BuildOrDie({.require_disjoint_sources_sinks = false});
+}
+
 // Asserts validity and returns the simulation result for diagnostics.
 inline SimResult ExpectValid(const Graph& g, Weight budget,
                              const Schedule& s,
